@@ -79,8 +79,11 @@ EVOLVE_EVERY = 10
 #: handful of types: on the tiny ones (parts, school-*) a search takes a
 #: few milliseconds, and mixing those in puts the median latency in the
 #: gap between trivial and real searches, where it jumps between runs.
-SEARCH_SCHEMAS = ("auction", "bib", "dblp", "genealogy", "mondial",
-                  "orders")
+#: genealogy is left out too: its searches take ~40 ms, no more than
+#: the transport floor, and with it the mix splits evenly into cheap
+#: (~0.1 s) and dear (~0.25 s) searches, which puts the median in the
+#: gap between them.  With these five it lies among the dear ones.
+SEARCH_SCHEMAS = ("auction", "bib", "dblp", "mondial", "orders")
 #: Band on a ``search`` target's size, in types per source type.
 #: Search time grows with the target, and the rare large expansions
 #: take seconds where the rest take tenths.

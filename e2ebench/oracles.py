@@ -127,14 +127,18 @@ class Oracle:
     # -- after the timed phase ---------------------------------------------
     def prepare_finds(self, pairs, processes: int) -> None:
         """In-process searches for the pairs the run sent, spread over
-        ``processes`` spawned interpreters (the fleet is stopped by
-        then, so they do not compete with it)."""
+        ``processes`` forked workers (the fleet is stopped by then, so
+        they do not compete with it).  Fork, not spawn: a spawn context
+        starts multiprocessing's resource tracker, a helper process that
+        outlives the pool until this interpreter exits; with fork the
+        pool's workers are the only processes, and leaving the ``with``
+        block waits for each of them to end."""
         todo = sorted(set(pairs),
                       key=lambda p: (p.library, p.source, p.target))
         if not todo:
             return
         with ProcessPoolExecutor(max_workers=processes,
-                                 mp_context=get_context("spawn")) as pool:
+                                 mp_context=get_context("fork")) as pool:
             for pair, result in zip(todo, pool.map(find_reference, todo)):
                 self.finds[pair] = result
 
@@ -153,7 +157,7 @@ class Oracle:
 
 def find_reference(pair) -> tuple:
     """``/v1/find``'s fields from an in-process search on the same
-    inline texts (module level so spawned workers can run it)."""
+    inline texts (module level so pool workers can run it)."""
     source = load_schema(pair.source, format=pair.format, name="source")
     target = load_schema(pair.target, format=pair.format, name="target")
     result = Engine().find_embedding(source, target, use_cache=False)
