@@ -15,19 +15,21 @@ incrementally:
   peak memory is bounded by the largest single fragment, never the
   document.
 * **Buffered fragments** — ``concat``/``disj``/``str`` shapes buffer
-  only their enclosing source fragment, then run through the *exact*
-  interpreter machinery (``MappingProgram._run``/``_map_loop``,
-  including its per-fragment reference ``_FragmentBuilder`` fallback),
-  so every byte — happy path, mindef padding, malformed-document
-  errors — is identical to ``InstMap.apply`` by construction.  The
-  reference path is never bypassed, only fed smaller inputs.
+  only their enclosing source fragment (pulled off the shared event
+  iterator by :func:`~repro.xtree.parser.build_tree`, the very builder
+  ``parse_xml`` uses), then run through the *exact* interpreter
+  machinery (``MappingProgram._run``/``_map_loop``, including its
+  per-fragment reference ``_FragmentBuilder`` fallback), so every
+  byte — happy path, mindef padding, malformed-document errors — is
+  identical to ``InstMap.apply`` by construction.  The reference path
+  is never bypassed, only fed smaller inputs.
 * **Ignored subtrees** — children of an ``empty``-typed source element
   are skipped with a depth counter (the interpreter never looks at
   them), so even garbage subtrees below Empty types cost O(depth).
 
 Documents whose *root* program is not a star (or whose embedding
 compiled onto the reference path) fall back to whole-document
-buffering: parse from the same event stream, ``InstMap.apply``,
+buffering: ``build_tree`` over the same event stream, ``InstMap.apply``,
 serialize — byte-identical, memory O(document), never wrong.
 
 Error contract: malformed XML raises the same ``XMLParseError``
@@ -48,6 +50,7 @@ import os
 import tempfile
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.core.errors import EmbeddingError
@@ -60,9 +63,9 @@ from repro.engine.plan import (
     _pause_gc,
     _resume_gc,
 )
-from repro.xtree.nodes import ElementNode, TextNode
+from repro.xtree.nodes import ElementNode
 from repro.xtree.nodes import _id_counter as _ids
-from repro.xtree.parser import iter_events, iter_events_path
+from repro.xtree.parser import build_tree, iter_events, iter_events_path
 from repro.xtree.serialize import iter_serialized
 
 
@@ -93,30 +96,6 @@ def _sever(root) -> None:
         if children:
             stack.extend(children)
             node.children = []
-
-
-class _TreeCapture:
-    """Rebuild one element subtree from its events (minus the initial
-    start event, which the caller consumed to dispatch)."""
-
-    __slots__ = ("root", "stack")
-
-    def __init__(self, tag: str) -> None:
-        self.root = ElementNode(tag)
-        self.stack = [self.root]
-
-    def feed(self, event) -> bool:
-        kind = event[0]
-        if kind == "start":
-            node = ElementNode(event[1])
-            self.stack[-1].append(node)
-            self.stack.append(node)
-        elif kind == "text":
-            self.stack[-1].append(TextNode(event[1]))
-        else:
-            self.stack.pop()
-            return not self.stack
-        return False
 
 
 class _StarSeg:
@@ -280,21 +259,17 @@ def _stream_pieces(instmap: InstMap, events: Iterable, indent: Optional[int],
         # Non-star root (or reference-path embedding): buffer the whole
         # document and serve through InstMap.apply unchanged.
         stats.whole_document = True
-        capture = _TreeCapture(root_tag)
-        for event in it:
-            if capture.feed(event):
-                break
+        root = build_tree(chain((first,), it))
         for _ in it:  # surface trailing-content parse errors pre-output
             pass
-        result = instmap.apply(capture.root)
+        result = instmap.apply(root)
         yield from iter_serialized(result.tree, indent)
-        _sever(capture.root)
+        _sever(root)
         _sever(result.tree)
         return
 
     frames = [_StarFrame(mp, root_tag, mp.programs[root_tag], 0)]
     stats.frames_streamed += 1
-    capture: Optional[_TreeCapture] = None
     skip_depth = 0
     _pause_gc()
     try:
@@ -305,12 +280,6 @@ def _stream_pieces(instmap: InstMap, events: Iterable, indent: Optional[int],
                     skip_depth += 1
                 elif kind == "end":
                     skip_depth -= 1
-                continue
-            if capture is not None:
-                if capture.feed(event):
-                    yield from _emit_buffered(mp, frames[-1], capture.root,
-                                              indent, stats)
-                    capture = None
                 continue
             if kind == "start":
                 frame = frames[-1]
@@ -343,7 +312,8 @@ def _stream_pieces(instmap: InstMap, events: Iterable, indent: Optional[int],
                             depth=frame.kid_depth)
                         skip_depth = 1
                         continue
-                capture = _TreeCapture(tag)
+                kid_root = build_tree(chain((event,), it))
+                yield from _emit_buffered(mp, frame, kid_root, indent, stats)
             elif kind == "end":
                 frame = frames.pop()
                 if frame.kids == 0:

@@ -9,6 +9,12 @@ predefined entities.  Attributes are parsed and *rejected by default*
 Hand-rolled rather than ``xml.etree`` so that node ids are assigned at
 parse time and whitespace handling matches the paper's element-only
 content models (whitespace-only text between elements is dropped).
+
+There is one scanner loop, :func:`_element_events`, which yields
+SAX-style events.  :func:`parse_xml` is :func:`build_tree` over
+:func:`iter_events`, and the streaming document plane
+(:mod:`repro.engine.stream`) consumes the same events, so every mode
+lexes, groups text and reports errors identically.
 """
 
 from __future__ import annotations
@@ -341,14 +347,6 @@ def _flush_value(buffer: list[tuple[str, bool]], scanner: _Scanner,
     return None
 
 
-def _flush_text(node: ElementNode, buffer: list[tuple[str, bool]],
-                scanner: _Scanner, keep_whitespace: bool) -> None:
-    """Decode and append the buffered text run, if any."""
-    value = _flush_value(buffer, scanner, keep_whitespace)
-    if value is not None:
-        node.append(TextNode(value))
-
-
 def _open_tag(scanner: _Scanner, allow_attributes: bool) -> tuple[str, bool]:
     """Lex a start tag; returns (tag, closed) — closed for ``<a/>``."""
     scanner.expect("<")
@@ -361,97 +359,12 @@ def _open_tag(scanner: _Scanner, allow_attributes: bool) -> tuple[str, bool]:
     return tag, False
 
 
-def _open_element(scanner: _Scanner, allow_attributes: bool,
-                  ) -> tuple[ElementNode, bool]:
-    """Parse a start tag; returns (node, closed) — closed for ``<a/>``."""
-    tag, closed = _open_tag(scanner, allow_attributes)
-    return ElementNode(tag), closed
-
-
-def _parse_element(scanner: _Scanner, allow_attributes: bool,
-                   keep_whitespace: bool) -> ElementNode:
-    """Parse one element with an explicit open-element stack.
-
-    Iterative on purpose: documents nest arbitrarily deep (the serving
-    daemon accepts thousand-level documents) and must never hit the
-    Python recursion limit.
-    """
-    root, closed = _open_element(scanner, allow_attributes)
-    if closed:
-        return root
-    # (node, text buffer) per open element, innermost last.
-    stack: list[tuple[ElementNode, list[tuple[str, bool]]]] = [(root, [])]
-    while stack:
-        node, buffer = stack[-1]
-        if scanner.eof():
-            raise XMLParseError(f"unterminated element <{node.tag}>",
-                                scanner.pos, scanner.source)
-        if scanner.peek(2) == "</":
-            _flush_text(node, buffer, scanner, keep_whitespace)
-            scanner.advance(2)
-            close = scanner.read_name()
-            if close != node.tag:
-                raise XMLParseError(
-                    f"mismatched end tag </{close}>, expected </{node.tag}>",
-                    scanner.pos, scanner.source)
-            scanner.skip_ws()
-            scanner.expect(">")
-            stack.pop()
-        elif scanner.peek(4) == "<!--":
-            _flush_text(node, buffer, scanner, keep_whitespace)
-            scanner.advance(4)
-            scanner.read_until("-->")
-        elif scanner.peek(9) == "<![CDATA[":
-            scanner.advance(9)
-            buffer.append((scanner.read_until("]]>"), True))
-        elif scanner.peek(2) == "<?":
-            _flush_text(node, buffer, scanner, keep_whitespace)
-            scanner.advance(2)
-            scanner.read_until("?>")
-        elif scanner.peek() == "<":
-            _flush_text(node, buffer, scanner, keep_whitespace)
-            child, closed = _open_element(scanner, allow_attributes)
-            node.append(child)
-            if not closed:
-                stack.append((child, []))
-        else:
-            buffer.append((scanner.advance(), False))
-    return root
-
-
-def parse_xml(source: str, allow_attributes: bool = False,
-              keep_whitespace: bool = False) -> ElementNode:
-    """Parse an XML document string into an element tree.
-
-    >>> t = parse_xml("<class><cno>CS331</cno><title>DB</title></class>")
-    >>> t.tag, t.children_tagged("cno")[0].child_text()
-    ('class', 'CS331')
-    """
-    scanner = _Scanner(source)
-    _skip_misc(scanner)
-    if scanner.eof() or scanner.peek() != "<":
-        raise XMLParseError("expected a root element", scanner.pos, source)
-    root = _parse_element(scanner, allow_attributes, keep_whitespace)
-    _skip_misc(scanner)
-    if not scanner.eof():
-        raise XMLParseError("trailing content after the root element",
-                            scanner.pos, source)
-    return root
-
-
-def parse_fragment(source: str) -> Optional[ElementNode]:
-    """Parse a fragment, returning ``None`` for pure whitespace."""
-    if not source.strip():
-        return None
-    return parse_xml(source)
-
-
 # -- SAX-style event mode -----------------------------------------------------
-# The streaming document plane (repro.engine.stream) drives mapping
-# programs straight from these events, never materialising the source
-# tree.  The event loop reuses the exact lexing, text grouping and
-# entity decoding of _parse_element, so a malformed document raises the
-# same XMLParseError (message, line, column) in either mode.
+# _element_events is the only scanner loop.  parse_xml builds trees from
+# its events; the streaming document plane (repro.engine.stream) drives
+# mapping programs straight from them, never materialising the source
+# tree.  A malformed document therefore raises the same XMLParseError
+# (message, line, column) in either mode.
 
 #: Event tuples: ("start", tag) / ("text", value) / ("end", tag).
 Event = tuple[str, str]
@@ -465,18 +378,27 @@ def _element_events(scanner: _Scanner, allow_attributes: bool,
         yield ("end", tag)
         return
     # One shared text buffer is enough: it is flushed at every element
-    # boundary, so its contents always belong to the innermost open
-    # element — exactly the per-element buffers of _parse_element.
+    # boundary, comment and PI, so its contents always belong to the
+    # innermost open element.  CDATA and character runs accumulate in it
+    # and decode as one text value.
     stack: list[str] = [tag]
     buffer: list[tuple[str, bool]] = []
     while stack:
         if scanner.eof():
             raise XMLParseError(f"unterminated element <{stack[-1]}>",
                                 scanner.pos, scanner.source)
+        if scanner.peek() != "<":
+            buffer.append((scanner.read_text_run(), False))
+            continue
+        if scanner.peek(9) == "<![CDATA[":
+            scanner.advance(9)
+            buffer.append((scanner.read_until("]]>"), True))
+            continue
+        # Every other markup ends the current text run.
+        value = _flush_value(buffer, scanner, keep_whitespace)
+        if value is not None:
+            yield ("text", value)
         if scanner.peek(2) == "</":
-            value = _flush_value(buffer, scanner, keep_whitespace)
-            if value is not None:
-                yield ("text", value)
             scanner.advance(2)
             close = scanner.read_name()
             if close != stack[-1]:
@@ -488,32 +410,18 @@ def _element_events(scanner: _Scanner, allow_attributes: bool,
             yield ("end", stack.pop())
             scanner.discard()
         elif scanner.peek(4) == "<!--":
-            value = _flush_value(buffer, scanner, keep_whitespace)
-            if value is not None:
-                yield ("text", value)
             scanner.advance(4)
             scanner.read_until("-->")
-        elif scanner.peek(9) == "<![CDATA[":
-            scanner.advance(9)
-            buffer.append((scanner.read_until("]]>"), True))
         elif scanner.peek(2) == "<?":
-            value = _flush_value(buffer, scanner, keep_whitespace)
-            if value is not None:
-                yield ("text", value)
             scanner.advance(2)
             scanner.read_until("?>")
-        elif scanner.peek() == "<":
-            value = _flush_value(buffer, scanner, keep_whitespace)
-            if value is not None:
-                yield ("text", value)
+        else:
             tag, closed = _open_tag(scanner, allow_attributes)
             yield ("start", tag)
             if closed:
                 yield ("end", tag)
             else:
                 stack.append(tag)
-        else:
-            buffer.append((scanner.read_text_run(), False))
 
 
 def _document_events(scanner: _Scanner, allow_attributes: bool,
@@ -560,11 +468,12 @@ def iter_events_path(path, allow_attributes: bool = False,
 
 
 def build_tree(events) -> ElementNode:
-    """Materialise an event stream (one element's worth) into a tree.
+    """Materialise one element's worth of events into a tree.
 
-    The inverse of :func:`iter_events`; node allocation order matches
-    :func:`parse_xml` on the same document exactly (text values are
-    appended at the same boundaries the tree parser flushes them).
+    The inverse of :func:`iter_events`.  Node ids are allocated in
+    event order, i.e. document preorder.  Consumption stops at the end
+    event that closes the first element, so over a shared iterator the
+    next event is left for the caller.
     """
     root: Optional[ElementNode] = None
     stack: list[ElementNode] = []
@@ -585,4 +494,19 @@ def build_tree(events) -> ElementNode:
                 break
     if root is None:
         raise ValueError("event stream contained no element")
+    return root
+
+
+def parse_xml(source: str, allow_attributes: bool = False,
+              keep_whitespace: bool = False) -> ElementNode:
+    """Parse an XML document string into an element tree.
+
+    >>> t = parse_xml("<class><cno>CS331</cno><title>DB</title></class>")
+    >>> t.tag, t.children_tagged("cno")[0].child_text()
+    ('class', 'CS331')
+    """
+    events = iter_events(source, allow_attributes, keep_whitespace)
+    root = build_tree(events)
+    for _ in events:  # raise on trailing content after the root
+        pass
     return root

@@ -2,9 +2,9 @@
 parse and serialize without ``RecursionError``.
 
 The seed implementation recursed once per tree level in
-``_FragmentBuilder._complete``, ``xtree.serialize._render``,
-``xtree.parser._parse_element`` and ``core.inverse._Inverter.rebuild``
-— all now explicit-stack iterative.  The fast path
+``_FragmentBuilder._complete``, ``xtree.serialize._render``, the XML
+parser and ``core.inverse._Inverter.rebuild`` — all now explicit-stack
+iterative.  The fast path
 (:mod:`repro.engine.plan`) is iterative by construction; both paths are
 exercised here, end to end through :class:`repro.engine.Engine` and the
 ``/v1/map`` + ``/v1/invert`` HTTP handlers.

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.xtree.nodes import tree_equal
-from repro.xtree.parser import XMLParseError, parse_xml
+from repro.xtree.parser import (
+    XMLParseError,
+    build_tree,
+    iter_events,
+    parse_xml,
+)
 from repro.xtree.serialize import to_string
 
 
@@ -157,36 +162,84 @@ def test_underscore_leading_name_accepted():
     assert parse_xml("<_a><b.c-d/></_a>").tag == "_a"
 
 
+#: (snippet, exact error text) — message, line and column are pinned so
+#: any change to the scanner shows up here, not only a change of type.
 HOSTILE_SNIPPETS = [
-    "<a>&#xZZ;</a>",
-    "<a>&#;</a>",
-    "<a>&#x110000;</a>",
-    "<a>&#xFFFFFFFFFFFF;</a>",
-    "<a>&#-1;</a>",
-    "<a>&#x;</a>",
-    "<a>&#xD800;</a>",
-    "<1abc></1abc>",
-    "<-x/>",
-    "<.y/>",
-    "<a><1b/></a>",
-    "<a>&nope;</a>",
-    "<a>&amp</a>",
-    "<a><b></a></b>",
-    "<a><b>",
-    "<a/><b/>",
-    "<a",
-    "",
-    "   ",
-    "plain text",
-    "<>",
-    "<a x=1/>",
-    '<a x="1"/>',
+    ("<a>&#xZZ;</a>",
+     "malformed character reference &#xZZ; at line 1, column 10"),
+    ("<a>&#;</a>",
+     "malformed character reference &#; at line 1, column 7"),
+    ("<a>&#x110000;</a>",
+     "character reference &#x110000; is outside the Unicode range "
+     "at line 1, column 14"),
+    ("<a>&#xFFFFFFFFFFFF;</a>",
+     "character reference &#xFFFFFFFFFFFF; is outside the Unicode range "
+     "at line 1, column 20"),
+    ("<a>&#-1;</a>",
+     "character reference &#-1; is outside the Unicode range "
+     "at line 1, column 9"),
+    ("<a>&#x;</a>",
+     "malformed character reference &#x; at line 1, column 8"),
+    ("<a>&#xD800;</a>",
+     "character reference &#xD800; is a surrogate code point "
+     "at line 1, column 12"),
+    ("<1abc></1abc>", "expected a name at line 1, column 2"),
+    ("<-x/>", "expected a name at line 1, column 2"),
+    ("<.y/>", "expected a name at line 1, column 2"),
+    ("<a><1b/></a>", "expected a name at line 1, column 5"),
+    ("<a>&nope;</a>", "unknown entity &nope; at line 1, column 10"),
+    ("<a>&amp</a>", "unterminated entity reference at line 1, column 8"),
+    ("<a><b></a></b>",
+     "mismatched end tag </a>, expected </b> at line 1, column 10"),
+    ("<a><b>", "unterminated element <b> at line 1, column 7"),
+    ("<a/><b/>",
+     "trailing content after the root element at line 1, column 5"),
+    ("<a", "expected '>' at line 1, column 3"),
+    ("", "expected a root element at line 1, column 1"),
+    ("   ", "expected a root element at line 1, column 4"),
+    ("plain text", "expected a root element at line 1, column 1"),
+    ("<>", "expected a name at line 1, column 2"),
+    ("<a x=1/>", "expected quoted attribute value at line 1, column 7"),
+    ('<a x="1"/>',
+     "attribute 'x' not supported by the paper's data model "
+     "(pass allow_attributes=True to ignore attributes) at line 1, column 9"),
 ]
 
 
-@pytest.mark.parametrize("snippet", HOSTILE_SNIPPETS)
-def test_hostile_corpus_raises_only_xmlparseerror(snippet):
+@pytest.mark.parametrize("snippet,message", HOSTILE_SNIPPETS,
+                         ids=[snippet for snippet, _ in HOSTILE_SNIPPETS])
+def test_hostile_corpus_raises_only_xmlparseerror(snippet, message):
     """The ingestion contract: any malformed input is XMLParseError —
-    a bare ValueError/IndexError from parse_xml is a bug."""
-    with pytest.raises(XMLParseError):
+    a bare ValueError/IndexError from parse_xml is a bug — and its text
+    (message, line, column) is exactly the pinned one."""
+    with pytest.raises(XMLParseError) as err:
         parse_xml(snippet)
+    assert str(err.value) == message
+
+
+def test_node_ids_preorder_and_build_tree_stops_at_element_end():
+    # Every node, including text merged from CDATA and entities, gets
+    # consecutive ids in document preorder.
+    tree = parse_xml("<r>a &amp; <![CDATA[<b>]]>c<x><y/>t</x><!-- c -->"
+                     "<z>&#65;</z>tail</r>")
+    order = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if not node.is_text():
+            stack.extend(reversed(node.children))
+    assert [n.value if n.is_text() else n.tag for n in order] == [
+        "r", "a & <b>c", "x", "y", "t", "z", "A", "tail"]
+    first = order[0].node_id
+    assert [n.node_id for n in order] == list(
+        range(first, first + len(order)))
+
+    # Over a shared iterator, build_tree takes exactly one element's
+    # events and leaves the next event for the caller.
+    events = iter_events("<r><a><b>x</b></a><c/></r>")
+    assert next(events) == ("start", "r")
+    subtree = build_tree(events)
+    assert to_string(subtree, indent=None) == "<a><b>x</b></a>"
+    assert next(events) == ("start", "c")
+    assert list(events) == [("end", "c"), ("end", "r")]
