@@ -164,7 +164,7 @@ def run(smoke: bool) -> tuple[list[dict], bool, float, float]:
         rows.append(row)
         total_nodes_per_sec += map_fast * nodes
 
-    # -- translate: primed/memoised translator vs per-query compile -----
+    # -- translate: primed translator vs per-query compile -------------
     sigma = school.sigma1
     queries = random_queries(sigma.source, 6 if smoke else 14,
                              seed=9, max_steps=7)

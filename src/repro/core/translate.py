@@ -100,35 +100,27 @@ def _prewarm_spine(query: PathExpr) -> None:
 
 
 class Translator:
-    """Compiled translator for one embedding (memoises ``Trl``).
+    """Compiled translator for one embedding: the per-edge ANFA table.
 
-    The memo is keyed structurally on ``(subquery, context)`` — the XR
-    AST nodes are immutable with structural equality — so a long-lived
-    Translator (e.g. inside a
-    :class:`repro.engine.compiled.CompiledEmbedding`) reuses work
-    across *different* queries sharing subexpressions, not just within
-    one translation.  ``prime_edges`` precompiles the per-edge automata
-    every translation bottoms out in.  The memo is bounded: past
-    ``memo_limit`` entries it is flushed wholesale (entries rebuild on
-    demand), so a long-running server with high query diversity cannot
-    grow it without bound.
+    ``prime_edges`` precompiles ``Trl(B, A)`` / ``Trl(text(), A)`` for
+    every schema-graph edge — the automata every translation bottoms
+    out in — and that table is all a Translator keeps between calls.
+    Each :meth:`translate` (or direct :meth:`trl`) call runs the
+    dynamic program of Theorem 4.3 in a :class:`_Translation` of its
+    own: the structural ``(subquery, context)`` and qualifier memos
+    start from the edge table and die with the call.  So a long-lived
+    Translator (inside a :class:`repro.engine.compiled.CompiledEmbedding`)
+    stays at its edge-table size whatever the query mix, and threads
+    may share one.  Whole-query reuse is the engine's translation LRU
+    one level up.
     """
-
-    #: Flush threshold for the structural memo.
-    memo_limit = 4096
 
     def __init__(self, embedding: SchemaEmbedding,
                  prime: bool = True) -> None:
         self.embedding = embedding
         self.source = embedding.source
-        self._memo: dict[tuple[PathExpr, str], ANFA] = {}
-        self._qual_memo: dict[tuple[Qualifier, Optional[str]], QualExpr] = {}
-        self._translate_memo: dict[tuple[PathExpr, str], ANFA] = {}
+        self._edges: dict[tuple[PathExpr, str], ANFA] = {}
         if prime:
-            # Compile the per-edge table up front: every translation
-            # bottoms out in these automata, and a Translator is a
-            # compile-once artifact (CompiledEmbedding re-priming after
-            # construction is a no-op thanks to the memo).
             self.prime_edges()
 
     def prime_edges(self) -> int:
@@ -140,7 +132,7 @@ class Translator:
         surfaces later iff a query actually touches them (keeping
         behaviour identical to the lazy path for broken embeddings).
         """
-        entries = 0
+        translation = _Translation(self)
         for source_type, production in self.source.elements.items():
             queries: list[PathExpr] = []
             if isinstance(production, Str):
@@ -152,37 +144,57 @@ class Translator:
                                in dict.fromkeys(production.child_types()))
             for query in queries:
                 try:
-                    self.trl(query, source_type)
-                    entries += 1
+                    self._edges[(query, source_type)] = translation.trl(
+                        query, source_type)
                 except Exception:
                     continue
-        return entries
+        return len(self._edges)
+
+    @property
+    def edge_table_size(self) -> int:
+        """Entries in the per-edge table — everything kept between
+        calls."""
+        return len(self._edges)
 
     # -- public -------------------------------------------------------------
     def translate(self, query: PathExpr,
                   context_type: Optional[str] = None) -> ANFA:
-        """``Tr(Q) = Trl(Q, r1)`` (or at an explicit context type).
-
-        Whole-query results are memoised (bounded like ``Trl``'s memo):
-        repeated queries return the shared, already-trimmed automaton —
-        treat it as immutable (``ANFA.copy`` for a private copy), the
-        same contract as the engine's translation LRU one level up.
+        """``Tr(Q) = Trl(Q, r1)`` (or at an explicit context type),
+        trimmed.  Per-edge automata are shared with the table: treat
+        the result as immutable (``ANFA.copy`` for a private copy), the
+        same contract as the engine's translation LRU.
         """
         context = context_type or self.source.root
         if context not in self.source.elements:
             raise TranslationError(f"unknown source type {context!r}")
         _prewarm_spine(query)
-        key = (query, context)
-        cached = self._translate_memo.get(key)
-        if cached is not None:
-            return cached
         if contains_descendant(query):
             query = lower_descendants(query, self.source.types)
-        result = self.trl(query, context).trim()
-        if len(self._translate_memo) >= self.memo_limit:
-            self._translate_memo.clear()
-        self._translate_memo[key] = result
-        return result
+        return _Translation(self).trl(query, context).trim()
+
+    def trl(self, query: PathExpr, context: str) -> ANFA:
+        """The local translation ``Trl(Q, A)``, untrimmed, in a memo of
+        its own."""
+        return _Translation(self).trl(query, context)
+
+
+class _Translation:
+    """One ``Trl`` call: the dynamic program of Theorem 4.3.
+
+    ``trl``/``trl_qual`` memoise on ``(subquery, context)`` and
+    ``(qualifier, lab)`` — the XR AST nodes are immutable with
+    structural equality — for the life of this object only.
+    """
+
+    __slots__ = ("embedding", "source", "_memo", "_qual_memo")
+
+    def __init__(self, translator: Translator) -> None:
+        self.embedding = translator.embedding
+        self.source = translator.source
+        self._memo: dict[tuple[PathExpr, str], ANFA] = dict(
+            translator._edges)
+        self._qual_memo: dict[tuple[Qualifier, Optional[str]],
+                              QualExpr] = {}
 
     # -- Trl ------------------------------------------------------------------
     def trl(self, query: PathExpr, context: str) -> ANFA:
@@ -190,8 +202,6 @@ class Translator:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        if len(self._memo) >= self.memo_limit:
-            self._memo.clear()
         built = self._trl(query, context)
         self._memo[key] = built
         return built
@@ -322,8 +332,6 @@ class Translator:
         cached = self._qual_memo.get(key)
         if cached is not None:
             return cached
-        if len(self._qual_memo) >= self.memo_limit:
-            self._qual_memo.clear()
         built = self._trl_qual(qual, lab)
         self._qual_memo[key] = built
         return built
@@ -403,13 +411,13 @@ class Translator:
 #: Type-keyed dispatch for ``Trl`` (one dict probe instead of an
 #: isinstance chain on the hottest recursion).
 _TRL_DISPATCH = {
-    EmptyPath: Translator._trl_empty,
+    EmptyPath: _Translation._trl_empty,
     Label: lambda self, query, context: self._trl_label(query.name, context),
     TextStep: lambda self, query, context: self._trl_text(context),
-    Union: Translator._trl_union,
-    Seq: Translator._trl_seq,
-    Qualified: Translator._trl_qualified,
-    Star: Translator._trl_star,
+    Union: _Translation._trl_union,
+    Seq: _Translation._trl_seq,
+    Qualified: _Translation._trl_qualified,
+    Star: _Translation._trl_star,
 }
 
 

@@ -243,7 +243,7 @@ class DTD:
 
         The display ``name`` is excluded: two schemas with the same
         productions and root are interchangeable for every compiled
-        artifact (mindef, reachability, path indexes).  Definition order
+        artifact (mindef, reachability).  Definition order
         is included — it drives candidate enumeration in the matching
         heuristics.
         """

@@ -7,12 +7,12 @@ the embedding — never on the document or query — is hoisted here:
 
 * :class:`CompiledSchema` — an immutable, hashable wrapper over a
   :class:`~repro.dtd.model.DTD` precomputing the production graph, the
-  reachability closure, the mindef templates, and the per-type target
-  path indexes that :mod:`repro.matching.local` enumerates during
-  embedding search;
+  reachability closure and the mindef templates (the candidate target
+  paths of an embedding search live for that one search, in
+  :class:`~repro.matching.local.TargetIndex`);
 * :class:`CompiledEmbedding` — a validated-at-most-once σ carrying the
   prebuilt pfrag templates (the :class:`~repro.core.instmap.InstMap`),
-  the per-edge ANFA translation table of a persistent
+  the per-edge ANFA translation table of a
   :class:`~repro.core.translate.Translator`, and the inverse walker.
 
 Both are keyed by *content fingerprints* (``DTD.fingerprint()`` /
@@ -36,11 +36,9 @@ from repro.core.inverse import run_invert
 from repro.core.translate import Translator
 from repro.dtd.mindef import MinDef
 from repro.dtd.model import DTD, Edge
-from repro.matching.prefix_free import PathKind, PathRequest, enumerate_paths
 from repro.xpath.ast import PathExpr
 from repro.xtree.nodes import ElementNode
 from repro.anfa.model import ANFA
-from repro.xpath.paths import XRPath
 
 
 class CompiledSchema:
@@ -48,13 +46,12 @@ class CompiledSchema:
 
     Construction walks the schema once; afterwards every view that the
     hot paths consult — production-graph edges, reachability, mindef
-    padding templates, candidate target paths — is a dictionary lookup.
-    Treat instances as frozen: they are shared between every embedding
-    and search using the schema.
+    padding templates — is a dictionary lookup.  Treat instances as
+    frozen: they are shared between every embedding and search using
+    the schema.
     """
 
-    __slots__ = ("dtd", "fingerprint", "edges", "_mindef", "_paths",
-                 "_reachable")
+    __slots__ = ("dtd", "fingerprint", "edges", "_mindef", "_reachable")
 
     def __init__(self, dtd: DTD) -> None:
         self.dtd = dtd
@@ -65,8 +62,6 @@ class CompiledSchema:
             element_type: dtd.edges_from(element_type)
             for element_type in dtd.types}
         self._mindef: Optional[MinDef] = None
-        #: per-type target-path index: (image, kind, end, caps) -> paths
-        self._paths: dict[tuple, list[XRPath]] = {}
         self._reachable: Optional[frozenset[str]] = None
 
     # -- graph views (lazy, computed once per artifact) -------------------
@@ -84,26 +79,6 @@ class CompiledSchema:
         if self._mindef is None:
             self._mindef = MinDef(self.dtd)
         return self._mindef
-
-    # -- per-type target-path index ---------------------------------------
-    def paths(self, image: str, kind: PathKind, end: Optional[str],
-              max_len: int, max_paths: int) -> list[XRPath]:
-        """Candidate XR paths of ``kind`` from ``image`` (to ``end``),
-        memoised per (type, kind, endpoint, caps).
-
-        This is the enumeration :class:`repro.matching.local.LocalEmbedder`
-        performs in its inner backtracking loop; serving it from the
-        compiled schema shares the work across embedder instances,
-        restarts, and whole searches.  Callers must not mutate the
-        returned list.
-        """
-        key = (image, kind, end, max_len, max_paths)
-        cached = self._paths.get(key)
-        if cached is None:
-            cached = enumerate_paths(self.dtd, image, PathRequest(kind, end),
-                                     max_len, max_paths)
-            self._paths[key] = cached
-        return cached
 
     # -- identity ---------------------------------------------------------
     def __hash__(self) -> int:
@@ -123,8 +98,7 @@ class CompiledEmbedding:
 
     * mapping  — ``instmap`` holds the pre-classified pfrag templates;
     * querying — ``translator`` holds the per-edge ANFA table (primed at
-      compile time) and a structural ``Trl`` memo that persists across
-      queries;
+      compile time); the structural ``Trl`` memo lives for one query;
     * inversion — path classifications are shared with the above, so
       the inverse walks without re-deriving anything.
 
@@ -145,9 +119,9 @@ class CompiledEmbedding:
         self.fingerprint = embedding.fingerprint()
         self.source_schema = source_schema or CompiledSchema(embedding.source)
         self.target_schema = target_schema or CompiledSchema(embedding.target)
-        # per-edge ANFA translation table + persistent Trl memo.
+        # per-edge ANFA translation table.
         self.translator = Translator(embedding)
-        self.edge_table_size = self.translator.prime_edges()
+        self.edge_table_size = self.translator.edge_table_size
         # pfrag templates are built on the first mapping (translation /
         # inversion never need them, and the lazy build keeps error
         # behaviour for broken embeddings identical to the seed's
@@ -195,7 +169,7 @@ class CompiledEmbedding:
 
     def translate(self, query: PathExpr,
                   context_type: Optional[str] = None) -> ANFA:
-        """``Tr(Q)`` via the persistent translator."""
+        """``Tr(Q)`` via the primed per-edge table."""
         return self.translator.translate(query, context_type)
 
     def invert(self, target_root: ElementNode,

@@ -20,8 +20,10 @@ Cache-correctness contract:
   one in place is unsupported and would serve stale artifacts;
 * per-cache hit/miss/eviction counters (:class:`CacheStats`) make the
   contract testable;
-* all caches are bounded (LRUs here, a flush-on-full memo inside each
-  compiled translator), safe for long-running servers.
+* all caches are bounded LRUs, safe for long-running servers; the
+  compiled artifacts below them keep only what depends on the schema
+  or embedding alone (a translator's per-edge table, a schema's
+  mindef), while per-query and per-search memos die with the call.
 """
 
 from __future__ import annotations
@@ -316,8 +318,9 @@ class Engine:
 
         The search is deterministic in its arguments, so results are
         cached on (S1, S2, att, parameters) fingerprints; the target's
-        compiled path index is shared across strategies and searches
-        either way.  ``use_cache=False`` forces a fresh search — the
+        compiled mindef is shared across searches, while its candidate
+        paths live for one search (shared by every strategy inside
+        it).  ``use_cache=False`` forces a fresh search — the
         classic ``find_embedding`` wrapper uses it so repeated calls
         keep their per-call semantics (freshly measured ``seconds``, a
         fresh embedding object), which benchmarks rely on.
@@ -331,10 +334,10 @@ class Engine:
                 cached = self._searches.get(key)
             if cached is not None:
                 return cached  # type: ignore[return-value]
-        target_index = self.compile_schema(target)
         result = search_embedding(source, target, att, method=method,
                                   seed=seed, restarts=restarts,
-                                  config=config, target_index=target_index)
+                                  config=config,
+                                  mindef=self.compile_schema(target).mindef)
         if use_cache:
             with self._lock:
                 self._searches.put(key, result)

@@ -60,28 +60,54 @@ class LocalSearchConfig:
     max_nodes: int = 4000       # backtracking budget
 
 
+class TargetIndex:
+    """The target side of one embedding search: the mindef templates
+    and the candidate XR paths per ``(image, kind, end, caps)``.
+
+    :func:`repro.matching.search.search_embedding` builds one per call
+    and hands it to every strategy and restart, so each enumeration
+    runs once per search; the index is dropped with the search, since
+    a long-lived server rarely sees the same target twice and one
+    schema's index runs to megabytes.  Callers must not mutate the
+    returned lists.
+    """
+
+    __slots__ = ("target", "mindef", "_paths")
+
+    def __init__(self, target: DTD, mindef: Optional[MinDef] = None) -> None:
+        self.target = target
+        self.mindef = mindef if mindef is not None else MinDef(target)
+        self._paths: dict[tuple, list[XRPath]] = {}
+
+    def paths(self, image: str, kind: PathKind, end: Optional[str],
+              max_len: int, max_paths: int) -> list[XRPath]:
+        """Candidate XR paths of ``kind`` from ``image`` (to ``end``)."""
+        key = (image, kind, end, max_len, max_paths)
+        cached = self._paths.get(key)
+        if cached is None:
+            cached = enumerate_paths(self.target, image,
+                                     PathRequest(kind, end),
+                                     max_len, max_paths)
+            self._paths[key] = cached
+        return cached
+
+
 class LocalEmbedder:
     """Finds local mappings for productions of one (S1, S2, att) triple.
 
-    ``target_index`` may be a :class:`repro.engine.compiled.CompiledSchema`
-    of ``target`` (or any object with compatible ``mindef`` /
-    ``paths(image, kind, end, max_len, max_paths)`` members): candidate
-    target paths and the mindef are then served from the precompiled
-    per-type index and survive across embedder instances.
+    ``target_index`` is the search's shared :class:`TargetIndex` of
+    ``target``; without one the embedder builds its own.
     """
 
     def __init__(self, source: DTD, target: DTD, att: SimilarityMatrix,
                  config: Optional[LocalSearchConfig] = None,
-                 target_index=None) -> None:
+                 target_index: Optional[TargetIndex] = None) -> None:
         self.source = source
         self.target = target
         self.att = att
         self.config = config or LocalSearchConfig()
-        self.target_index = target_index
-        self.mindef = (target_index.mindef if target_index is not None
-                       else MinDef(target))
-        self._path_cache: dict[tuple[str, PathKind, Optional[str]],
-                               list[XRPath]] = {}
+        self.target_index = target_index or TargetIndex(target)
+        self.mindef = self.target_index.mindef
         self._feasible_cache: dict[tuple[str, str], bool] = {}
 
     # ------------------------------------------------------------------
@@ -134,19 +160,9 @@ class LocalEmbedder:
 
     def _paths(self, image: str, kind: PathKind,
                end: Optional[str]) -> list[XRPath]:
-        if self.target_index is not None:
-            return self.target_index.paths(image, kind, end,
-                                           self.config.max_len,
-                                           self.config.max_paths)
-        key = (image, kind, end)
-        cached = self._path_cache.get(key)
-        if cached is None:
-            cached = enumerate_paths(self.target, image,
-                                     PathRequest(kind, end),
-                                     self.config.max_len,
-                                     self.config.max_paths)
-            self._path_cache[key] = cached
-        return cached
+        return self.target_index.paths(image, kind, end,
+                                       self.config.max_len,
+                                       self.config.max_paths)
 
     # ------------------------------------------------------------------
     def find(self, source_type: str, image: str,

@@ -20,11 +20,12 @@ from typing import Optional
 
 from repro.core.embedding import SchemaEmbedding
 from repro.core.similarity import SimilarityMatrix
+from repro.dtd.mindef import MinDef
 from repro.dtd.model import DTD
 from repro.matching.assemble import assemble_quality, assemble_random
 from repro.matching.exact import exact_embedding
 from repro.matching.indepset import assemble_indepset
-from repro.matching.local import LocalSearchConfig
+from repro.matching.local import LocalSearchConfig, TargetIndex
 
 METHODS = ("auto", "random", "quality", "indepset", "exact")
 
@@ -48,19 +49,23 @@ def search_embedding(source: DTD, target: DTD,
                      method: str = "auto", seed: int = 0,
                      restarts: int = 20,
                      config: Optional[LocalSearchConfig] = None,
-                     target_index=None) -> SearchResult:
+                     mindef: Optional[MinDef] = None) -> SearchResult:
     """The uncached Schema-Embedding solver.
 
-    ``target_index`` optionally supplies a precompiled per-type path
-    index of ``target`` (see :class:`repro.engine.compiled.CompiledSchema`)
-    shared by every strategy the dispatch tries.  Deterministic in all
-    arguments, which is what makes :class:`repro.engine.session.Engine`
-    caching of whole search results sound.
+    One :class:`~repro.matching.local.TargetIndex` of ``target`` serves
+    the candidate paths to every strategy and restart the dispatch
+    tries, and is dropped on return.  ``mindef`` optionally supplies
+    the target's precompiled mindef templates (see
+    :class:`repro.engine.compiled.CompiledSchema`).  Deterministic in
+    all arguments, which is what makes
+    :class:`repro.engine.session.Engine` caching of whole search
+    results sound.
     """
     att = att or SimilarityMatrix.permissive()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick from {METHODS}")
     started = time.perf_counter()
+    target_index = TargetIndex(target, mindef)
     embedding: Optional[SchemaEmbedding] = None
     used = method
 
@@ -101,7 +106,7 @@ def find_embedding(source: DTD, target: DTD,
     """Solve Schema-Embedding heuristically (or exactly).
 
     Delegates to the default :class:`repro.engine.session.Engine` so
-    the target's compiled path index is built once and shared, but
+    the target's compiled mindef is built once and shared, but
     bypasses the engine's whole-result cache: every call runs (and
     times) a real search, as this function always did.  Use
     ``Engine.find_embedding`` directly for cached request serving.

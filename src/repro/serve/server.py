@@ -22,6 +22,15 @@ released, making the port immediately reusable (tested).  Connections are keep-a
 reuses one socket across many requests instead of paying connection
 setup per call.
 
+Every JSON response — status line, headers and body — leaves in one
+``sendall``, and every accepted socket has ``TCP_NODELAY`` set.  A
+response split over two writes on a keep-alive connection meets
+Nagle's algorithm on the server and the client's delayed ACK, which
+holds the second write back by ~40 ms.  A request whose body cannot be
+read (a bad or out-of-range ``Content-Length``) gets its error with
+``Connection: close``: the unread body would otherwise be parsed as
+the next request line.
+
 For the pre-fork fleet (:mod:`repro.serve.fleet`) a server can be
 built over an *already bound and listening* socket (``listen_socket=``)
 — the supervisor binds (with ``SO_REUSEPORT`` when available) and the
@@ -60,14 +69,28 @@ class _Handler(BaseHTTPRequestHandler):
     #: bytes than it sends (or idling mid-request) must not pin a
     #: handler thread forever.
     timeout = 60
+    #: Set ``TCP_NODELAY`` on every accepted socket (stdlib ``setup``).
+    disable_nagle_algorithm = True
 
-    def _write(self, status: int, payload: dict) -> None:
+    def _write(self, status: int, payload: dict,
+               close: bool = False) -> None:
+        """Send one JSON response in a single ``sendall``.  ``close``
+        adds ``Connection: close``, which also ends the keep-alive
+        loop after this response."""
         body = encode(payload)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if close:
+            self.send_header("Connection", "close")
+        # end_headers() would flush the headers in a write of their
+        # own; send them with the body instead.  An HTTP/0.9 request
+        # buffers no headers at all.
+        head = getattr(self, "_headers_buffer", [])
+        if head:
+            head.append(b"\r\n")
+        self._headers_buffer = []
+        self.wfile.write(b"".join(head) + body)
 
     def _serve(self, method: str) -> None:
         server: _ReproHTTPServer = self.server  # type: ignore[assignment]
@@ -85,16 +108,16 @@ class _Handler(BaseHTTPRequestHandler):
             except ValueError:
                 self._write(400, error_payload(
                     400, "bad-content-length",
-                    "Content-Length is not an integer"))
+                    "Content-Length is not an integer"), close=True)
                 return
             if length < 0 or length > MAX_BODY_BYTES:
                 # Negative lengths would make rfile.read() block until
                 # EOF and pin the handler thread; oversized ones would
-                # exhaust memory.
+                # exhaust memory.  Both leave the body unread.
                 self._write(413, error_payload(
                     413, "body-too-large",
                     f"request body of {length} bytes is outside "
-                    f"[0, {MAX_BODY_BYTES}]"))
+                    f"[0, {MAX_BODY_BYTES}]"), close=True)
                 return
             body = self.rfile.read(length)
         status, payload = dispatch(state, method, self.path, body)

@@ -330,3 +330,41 @@ def test_engine_clear_drops_artifacts(engine, school):
     engine.clear()
     engine.compile_schema(school.classes)
     assert engine.schema_stats.misses == 2
+
+
+def _candidate_path_lists(root) -> list:
+    """Every non-empty list of XR paths reachable from ``root`` through
+    instance state (modules, classes and functions are not followed)."""
+    import gc
+    import types
+
+    skip = (type, types.ModuleType, types.FunctionType,
+            types.BuiltinFunctionType, types.MethodType)
+    found, seen, pending = [], {id(root)}, [root]
+    while pending:
+        obj = pending.pop()
+        if isinstance(obj, list) and obj and all(
+                isinstance(item, XRPath) for item in obj):
+            found.append(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, skip):
+                seen.add(id(ref))
+                pending.append(ref)
+    return found
+
+
+def test_search_keeps_no_candidate_paths(engine, school):
+    """Candidate target paths live for one search: the engine's caches
+    keep the result and the target's compiled mindef, never the path
+    index, and a search with no cache runs the same every time."""
+    att = SimilarityMatrix.permissive()
+    first = engine.find_embedding(school.classes, school.school, att,
+                                  use_cache=False)
+    second = engine.find_embedding(school.classes, school.school, att,
+                                   use_cache=False)
+    assert first.found
+    assert first.embedding is not second.embedding
+    assert first.embedding == second.embedding
+    engine.find_embedding(school.classes, school.school, att)
+    assert engine.schema_stats.misses == 1  # the target, compiled once
+    assert _candidate_path_lists(engine) == []

@@ -10,14 +10,18 @@ items fail individually; malformed requests get structured 4xx errors;
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.dtd.generate import InstanceGenerator
-from repro.engine import Engine
+from repro.engine import Engine, pack_store
 from repro.serve import (
+    FleetServer,
     ProtocolError,
     ReproServer,
     ServeClient,
@@ -208,6 +212,154 @@ def test_protocol_error_shapes(client):
     with pytest.raises(ServeError) as excinfo:
         client.request("GET", "/v1/nope")
     assert excinfo.value.status == 404
+
+
+@pytest.fixture()
+def server_sends(tmp_path, monkeypatch):
+    """Record every ``socket.sendall`` with its socket's local port and
+    ``TCP_NODELAY`` flag, also in processes forked after the fixture is
+    set up (fleet workers): each call appends one line to a file before
+    it sends.  Returns ``sends(port)``, the ``(nodelay, bytes)`` of
+    every send on a socket bound to ``port``, in call order."""
+    log = tmp_path / "sendall.jsonl"
+    real_sendall = socket.socket.sendall
+
+    def recording_sendall(sock, data, *args):
+        record = {"port": sock.getsockname()[1],
+                  "nodelay": sock.getsockopt(socket.IPPROTO_TCP,
+                                             socket.TCP_NODELAY),
+                  "data": bytes(data).decode("latin-1")}
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, (json.dumps(record) + "\n").encode())
+        finally:
+            os.close(fd)
+        return real_sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", recording_sendall)
+
+    def sends(port: int) -> list[tuple[bool, bytes]]:
+        if not log.exists():
+            return []
+        records = [json.loads(line)
+                   for line in log.read_text().splitlines()]
+        return [(bool(r["nodelay"]), r["data"].encode("latin-1"))
+                for r in records if r["port"] == port]
+
+    return sends
+
+
+def _read_response(sock: socket.socket) -> bytes:
+    """One whole HTTP response (headers plus ``Content-Length`` body)
+    from a raw socket; ``b""`` when the server closed the connection."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        try:
+            chunk = sock.recv(65536)
+        except ConnectionResetError:
+            chunk = b""
+        if not chunk:
+            return data
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = next(int(line.split(b":", 1)[1])
+                  for line in head.split(b"\r\n")
+                  if line.lower().startswith(b"content-length:"))
+    while len(body) < length:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed mid-body"
+        body += chunk
+    assert len(body) == length, "bytes beyond the announced body"
+    return head + b"\r\n\r\n" + body
+
+
+def _status(response: bytes) -> int:
+    return int(response.split(b" ", 2)[1])
+
+
+def _post(path: str, length: str, body: bytes) -> bytes:
+    return (f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {length}\r\n\r\n").encode() + body
+
+
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+
+
+@pytest.mark.parametrize("length,status,code", [
+    ("abc", 400, "bad-content-length"),
+    ("-3", 413, "body-too-large"),
+])
+def test_unread_body_closes_the_connection(server, length, status, code):
+    """A rejected Content-Length leaves the body unread; keeping the
+    connection alive would parse that body as the next request line and
+    answer the following request with a stdlib HTML error."""
+    with socket.create_connection((server.host, server.port),
+                                  timeout=10) as sock:
+        sock.sendall(_post("/v1/map", length, b'{"xml": "<a/>"}'))
+        response = _read_response(sock)
+        assert _status(response) == status
+        assert b"\r\nConnection: close\r\n" in response
+        payload = json.loads(response.partition(b"\r\n\r\n")[2])
+        assert payload["error"]["code"] == code
+        try:
+            sock.sendall(HEALTHZ)
+        except OSError:
+            pass  # the server may already have reset the connection
+        assert _read_response(sock) == b""
+
+
+def test_each_response_leaves_in_one_sendall(server, server_sends):
+    """The transport contract behind the keep-alive latency: every
+    accepted socket has TCP_NODELAY set, and each JSON response (status
+    line, headers, body) is one sendall — a split response stalls on
+    Nagle's algorithm meeting the client's delayed ACK."""
+    _assert_one_sendall_per_response(server.host, server.port,
+                                    server_sends)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="fleet needs fork")
+def test_fleet_worker_response_leaves_in_one_sendall(store_path, tmp_path,
+                                                     server_sends):
+    """Fleet workers serve through the same handler: the contract holds
+    on a worker's direct port (the recording is inherited by fork)."""
+    packed = tmp_path / "store"
+    shutil.copytree(store_path, packed)
+    pack_store(packed)
+    with FleetServer(packed, workers=1, port=0) as fleet:
+        port = fleet.worker_ports[0]
+        client = ServeClient(fleet.host, port, timeout=5.0)
+        deadline = time.monotonic() + 30.0
+        while True:
+            try:
+                client.healthz()
+                break
+            except OSError:
+                assert time.monotonic() < deadline, "worker never came up"
+                time.sleep(0.05)
+        client.close()
+        _assert_one_sendall_per_response(fleet.host, port, server_sends)
+
+
+def _assert_one_sendall_per_response(host: str, port: int,
+                                    server_sends) -> None:
+    """Send a 200, 404 and 400 on one keep-alive connection and a 413
+    on another; each response must be exactly one recorded send."""
+    before = len(server_sends(port))
+    received = []
+    with socket.create_connection((host, port), timeout=10) as sock:
+        for request in (HEALTHZ,
+                        b"GET /v1/nope HTTP/1.1\r\nHost: test\r\n\r\n",
+                        _post("/v1/map", "9", b"{not json")):
+            sock.sendall(request)
+            received.append(_read_response(sock))
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(_post("/v1/map", str(1 << 40), b""))
+        received.append(_read_response(sock))
+    assert [_status(r) for r in received] == [200, 404, 400, 413]
+    sends = server_sends(port)[before:]
+    assert [data for _nodelay, data in sends] == received
+    assert all(nodelay for nodelay, _data in sends)
 
 
 def test_dispatch_without_http(school):

@@ -169,3 +169,60 @@ def test_memoisation_stable(school):
     first = translator.translate(query)
     second = translator.translate(query)
     assert first.size() == second.size()
+
+
+def test_translator_keeps_only_its_edge_table(bib_expansion):
+    """The subquery and qualifier memos live for one call: after
+    hundreds of distinct queries the translator holds no more than the
+    per-edge table it was primed with."""
+    from repro.workloads.queries import random_queries
+
+    translator = Translator(bib_expansion.embedding)
+    primed = translator.edge_table_size
+    assert primed > 0
+    queries = {str(q): q for q in random_queries(bib_expansion.source,
+                                                 500, seed=13)}
+    assert len(queries) >= 300
+    for query in queries.values():
+        translator.translate(query)
+    held = sum(len(value) for value in vars(translator).values()
+               if isinstance(value, dict))
+    assert held == translator.edge_table_size == primed
+
+
+def test_shared_translator_is_thread_safe(bib_expansion):
+    """Eight threads on one Translator render exactly what a fresh
+    serial Translator renders per query."""
+    import sys
+    import threading
+
+    from repro.workloads.queries import random_queries
+
+    embedding = bib_expansion.embedding
+    queries = random_queries(bib_expansion.source, 40, seed=17)
+    expected = [Translator(embedding).translate(q).canonical_describe()
+                for q in queries]
+    shared = Translator(embedding)
+    results: dict[int, list[str]] = {}
+
+    def worker(offset: int) -> None:
+        order = list(range(offset, len(queries))) + list(range(offset))
+        rendered = {i: shared.translate(queries[i]).canonical_describe()
+                    for i in order}
+        results[offset] = [rendered[i] for i in range(len(queries))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(5 * k,))
+                   for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [5 * k for k in range(8)]
+    for rendered in results.values():
+        assert rendered == expected
