@@ -1,15 +1,16 @@
 """Streaming document plane: bounded memory on documents that never
 fit in RAM comfortably.
 
-The streamer (``repro.engine.stream``) drives σd straight from parser
-events: star frames emit head/instances/tail live and only the
-enclosing fragment is ever buffered.  This bench machine-checks the
-constant-memory claim — it synthesises a large conforming document
-*incrementally* to a temp file (the document never exists in memory),
-streams it through the school σ1 mapping into a byte-counting sink,
-and asserts the process RSS high-water delta stays a small fraction of
-the document size.  Byte-identity against the buffered path is checked
-at a size where buffering is cheap.
+``repro.engine.stream`` feeds the generated codec's event driver from a
+file: star frames emit head/instances/tail live, and each star instance
+is built, mapped and released, so only one instance is ever buffered.
+This bench machine-checks the constant-memory claim — it synthesises a
+large conforming document *incrementally* to a temp file (the document
+never exists in memory), streams it through the school σ1 mapping into
+a byte-counting sink, and asserts the process RSS high-water delta
+stays a small fraction of the document size.  Byte-identity against
+the interpreter's buffered path is checked at a size where buffering
+is cheap.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import time
 
 import pytest
 
-from repro.core.instmap import InstMap
+from repro.engine.compiled import CompiledEmbedding
 from repro.engine.stream import StreamStats, iter_mapped
 from repro.workloads.library import school_example
 from repro.xtree.parser import parse_xml
@@ -54,27 +55,28 @@ def _rss_peak_kb() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-def _stream_document(instmap: InstMap, path: str) -> tuple[StreamStats, float]:
+def _stream_document(compiled: CompiledEmbedding,
+                     path: str) -> tuple[StreamStats, float]:
     stats = StreamStats()
     started = time.perf_counter()
-    for _chunk in iter_mapped(instmap, path=path, stats=stats):
+    for _chunk in iter_mapped(compiled, path=path, stats=stats):
         pass  # byte-counting sink: chars_out accumulates in stats
     return stats, time.perf_counter() - started
 
 
-def _identity_check(instmap: InstMap, n_fragments: int) -> bool:
+def _identity_check(compiled: CompiledEmbedding, n_fragments: int) -> bool:
     """Streamed output == buffered output, at bufferable scale."""
     text = ("<db>" + "".join(_FRAGMENT.format(index=i)
                              for i in range(n_fragments)) + "</db>")
-    streamed = "".join(iter_mapped(instmap, text=text))
-    buffered = to_string(instmap.apply(parse_xml(text)).tree)
+    streamed = "".join(iter_mapped(compiled, text=text))
+    buffered = to_string(compiled.apply(parse_xml(text)).tree)
     return streamed == buffered
 
 
 @pytest.mark.parametrize("n_fragments", [1, 37])
 def test_stream_matches_buffered(n_fragments):
-    instmap = InstMap(school_example().sigma1)
-    assert _identity_check(instmap, n_fragments)
+    compiled = CompiledEmbedding(school_example().sigma1)
+    assert _identity_check(compiled, n_fragments)
 
 
 def main() -> int:
@@ -85,14 +87,14 @@ def main() -> int:
     # Smoke keeps CI quick; full mode is the actual 50MB-class claim.
     target_bytes = 200_000 if args.smoke else 50_000_000
 
-    instmap = InstMap(school_example().sigma1)
-    identical = _identity_check(instmap, 400)
+    compiled = CompiledEmbedding(school_example().sigma1)
+    identical = _identity_check(compiled, 400)
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-stream-") as tmp:
         doc_path = os.path.join(tmp, "big.xml")
         doc_bytes = _write_document(doc_path, target_bytes)
         rss_before_kb = _rss_peak_kb()
-        stats, wall = _stream_document(instmap, doc_path)
+        stats, wall = _stream_document(compiled, doc_path)
         rss_after_kb = _rss_peak_kb()
 
     delta_kb = rss_after_kb - rss_before_kb

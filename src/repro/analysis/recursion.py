@@ -15,7 +15,7 @@ any function in the cycle, with the bound in the comment.
 
 The plane is the module list below plus any module declaring
 ``# lint: recursion-plane`` — or ``# lint: stream-plane`` /
-``# lint: codec-plane``, the markers the streaming executor, the codec
+``# lint: codec-plane``, the markers the streaming module, the codec
 generator and every *generated* codec module carry: those modules walk
 documents too, so opting into their plane opts into this checker.
 Resolution is name-based and
@@ -44,7 +44,7 @@ PLANE_PREFIXES = ("repro.xtree.",)
 
 MODULE_MARKER = "recursion-plane"
 
-#: Markers that imply document-plane behaviour: the streaming executor
+#: Markers that imply document-plane behaviour: the streaming module
 #: and the (generated) codec modules both walk whole documents, and
 #: translation-plane composition walks query spines whose length the
 #: user controls (deep chains must not recurse).

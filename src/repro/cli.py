@@ -75,9 +75,9 @@ from pathlib import Path
 from typing import Optional
 
 from repro.core.embedding import SchemaEmbedding, build_embedding
-from repro.core.instmap import InstMap
 from repro.engine import (
     ArtifactStore,
+    CompiledEmbedding,
     ParallelRunner,
     StreamStats,
     iter_corpus,
@@ -241,18 +241,18 @@ def _load_embedding(args: argparse.Namespace) -> SchemaEmbedding:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    embedding = _load_embedding(args)
+    compiled = CompiledEmbedding(_load_embedding(args))
+    compiled.mark_validated()
     if args.stream:
         # Drive σd straight from parser events: memory is bounded by
-        # the largest buffered fragment, not the document.  Output is
+        # the largest star instance, not the document.  Output is
         # byte-identical to the buffered path below.
-        instmap = InstMap(embedding)
         if args.out:
-            stats = stream_map_to_path(instmap, args.out,
+            stats = stream_map_to_path(compiled, args.out,
                                        path=args.document)
         else:
             stats = StreamStats()
-            for chunk in iter_mapped(instmap, path=args.document,
+            for chunk in iter_mapped(compiled, path=args.document,
                                      stats=stats):
                 sys.stdout.write(chunk)
             sys.stdout.write("\n")
@@ -261,9 +261,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
               f"{stats.fragments_buffered} fragment(s) buffered",
               file=sys.stderr)
         return 0
-    document = parse_xml(Path(args.document).read_text())
-    result = InstMap(embedding).apply(document)
-    output = to_string(result.tree)
+    output = compiled.map_text(Path(args.document).read_text())
     if args.out:
         Path(args.out).write_text(output + "\n")
     else:

@@ -20,12 +20,13 @@ persist/parallelise the compiled artifacts.
   corpus fan-out across a pool of warm-started worker engines;
 * :mod:`repro.engine.corpus` — streaming corpus I/O (directories,
   NDJSON files, single documents);
-* :mod:`repro.engine.stream` — the streaming document plane: σd driven
-  directly from parser events, emitting serialized output incrementally
-  with memory bounded by the largest buffered fragment;
+* :mod:`repro.engine.stream` — streaming σd entry points: the codec's
+  event driver fed from a text or a file, output as chunks or written
+  atomically, memory bounded by the largest star instance;
 * :mod:`repro.engine.codegen` — generated per-schema codecs: the flat
-  mapping program specialised to Python source (parse→map→serialize
-  fused), compiled once and cached in the artifact store.
+  mapping program specialised to Python source, compiled once and
+  cached in the artifact store, and the one event driver that runs
+  every text→text σd (``map_text``, ``/v1/map``, ``repro map``).
 """
 
 from repro.engine.codegen import (

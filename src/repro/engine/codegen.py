@@ -11,9 +11,20 @@ are all decidable from the instruction stream at *generation* time.
 ``TypeProgram`` ops and emits a specialised Python module: one handler
 per source type appending prerendered static text blocks and pushing
 work items for hot children onto an explicit stack (no recursion — the
-generated module is iterative by construction).  ``map_tree(root)``
-returns the serialized target document directly; no target tree is
-ever allocated on the fast path.
+generated module is iterative by construction), plus its dispatch
+tables.  No target tree is ever allocated on the fast path.
+
+The code that runs a module is written here once, in
+:class:`GeneratedCodec`: ``map_tree`` dispatches a parsed tree, and
+``map_text`` / ``iter_text`` drive the handlers from
+:func:`~repro.xtree.parser.iter_events`.  The driver streams star
+spines — head block on the first instance, each instance built with
+``build_tree`` off the shared iterator, mapped and released, tail at
+the end — skips Empty-typed instances with a depth counter, and
+buffers the whole document into ``map_tree`` when the root is not a
+star.  It is the only text→text ``σd`` path (``/v1/map``, ``repro
+map``, ``repro map --stream``); modules generated before it existed
+run through it unchanged.
 
 Byte-identity is inherited, not re-proven: static blocks are rendered
 through :func:`repro.xtree.serialize.iter_serialized` over trees built
@@ -36,9 +47,11 @@ source safe to cache in the artifact store keyed by
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable, Iterator, Optional
 
-from repro.core.errors import EmbeddingError  # noqa: F401  (codec runtime)
+from repro.core.errors import EmbeddingError
 from repro.core.instmap import InstMap
 from repro.engine.plan import (
     LOOP_SLOT,
@@ -48,17 +61,18 @@ from repro.engine.plan import (
     OP_OPEN,
     OP_TEXT,
     MappingProgram,
-    _pause_gc,  # noqa: F401  (codec runtime)
-    _resume_gc,  # noqa: F401  (codec runtime)
+    _pause_gc,
+    _resume_gc,
 )
-from repro.engine.stream import _sever
 from repro.xtree.nodes import ElementNode, TextNode
-from repro.xtree.parser import parse_xml  # noqa: F401  (codec runtime)
+from repro.xtree.parser import build_tree, iter_events
+# Codec modules generated before the event driver import ``parse_xml``.
+from repro.xtree.parser import parse_xml  # noqa: F401
 from repro.xtree.serialize import escape_text as _esc
 from repro.xtree.serialize import iter_serialized
 
-__all__ = ["CodecError", "GeneratedCodec", "generate_codec_source",
-           "compile_codec", "generate_codec"]
+__all__ = ["CodecError", "GeneratedCodec", "StreamStats",
+           "generate_codec_source", "compile_codec", "generate_codec"]
 
 
 class CodecError(ValueError):
@@ -88,6 +102,19 @@ def _blk(cache: dict, lines: tuple, depth: int) -> str:
         block = "\n".join(pad + line for line in lines)
         cache[depth] = block
     return block
+
+
+def _sever(root) -> None:
+    """Break parent/children cycles so refcounting frees the fragment
+    immediately (collection is paused during a mapping burst)."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        node.parent = None
+        children = getattr(node, "children", None)
+        if children:
+            stack.extend(children)
+            node.children = []
 
 
 def _codec_fallback(instmap: InstMap, out: list, stack: list,
@@ -419,9 +446,6 @@ from repro.engine.codegen import (
     _codec_fallback,
     _esc,
     _pad,
-    _pause_gc,
-    _resume_gc,
-    parse_xml,
 )
 
 '''
@@ -590,66 +614,256 @@ def generate_codec_source(instmap: InstMap, *,
                    f"{mp.programs[source_type].image!r},")
     out.append("}")
     out.append("")
-    out.append("")
-    out.append("def map_tree(root):")
-    out.append('    """Serialized \\u03c3d(root) — byte-identical to '
-               'to_string(InstMap.apply(root).tree)."""')
-    out.append("    if root.tag != SOURCE_ROOT:")
-    out.append("        raise EmbeddingError(")
-    out.append('            "instance root <" + root.tag + "> is not the '
-               'source root <" + SOURCE_ROOT + ">")')
-    out.append("    out = []")
-    out.append("    stack = [(0, root, 0, ROOT_IMAGE)]")
-    out.append("    pop = stack.pop")
-    out.append("    get = _H.get")
-    out.append("    _pause_gc()")
-    out.append("    try:")
-    out.append("        while stack:")
-    out.append("            kind, payload, depth, expected = pop()")
-    out.append("            if kind:")
-    out.append("                out.append(payload)")
-    out.append("                continue")
-    out.append("            handler = get(payload.tag)")
-    out.append("            if handler is None:")
-    out.append("                raise EmbeddingError(")
-    out.append('                    "instance element <" + payload.tag +')
-    out.append('                    "> is not a source type of the '
-               'embedding (document"')
-    out.append('                    " does not conform to the source '
-               'schema)")')
-    out.append("            image = _IMG[payload.tag]")
-    out.append("            if image != expected:")
-    out.append("                raise EmbeddingError(")
-    out.append('                    "image of <" + payload.tag + "> has '
-               'tag <" + expected +')
-    out.append('                    ">, expected \\u03bb(" + payload.tag '
-               '+ ") = " + image)')
-    out.append("            handler(out, stack, payload, depth)")
-    out.append("    finally:")
-    out.append("        _resume_gc()")
-    out.append('    return "\\n".join(out)')
-    out.append("")
-    out.append("")
-    out.append("def map_text(text):")
-    out.append('    """Parse, map and serialize in one fused pass."""')
-    out.append("    return map_tree(parse_xml(text))")
-    out.append("")
     return "\n".join(out)
 
 
+# -- the hand-written driver over a generated module --------------------------
+
+@dataclass
+class StreamStats:
+    """What the event driver did with one document."""
+
+    #: star frames that streamed (head/instances/tail emitted live)
+    frames_streamed: int = 0
+    #: star instances built as trees and run through the handlers
+    fragments_buffered: int = 0
+    #: the root shape could not stream: whole document buffered
+    whole_document: bool = False
+    #: output size in characters
+    chars_out: int = 0
+
+
+#: output blocks gathered before a streamed chunk is released
+_CHUNK_BLOCKS = 512
+
+
+class _Frame:
+    """One open star-typed source element whose instances stream.
+
+    ``head``/``tail`` and the per-instance dispatch come from the star
+    handler itself (see :meth:`GeneratedCodec._frame`), so a streamed
+    frame emits the very bytes ``map_tree`` emits for the element."""
+
+    __slots__ = ("tag", "depth", "handler", "head", "tail", "kid_depth",
+                 "expected", "kids")
+
+    def __init__(self, tag: str, depth: int, handler, head: str, tail: str,
+                 kid_depth: int, expected: Optional[str]) -> None:
+        self.tag = tag
+        self.depth = depth
+        self.handler = handler
+        self.head = head
+        self.tail = tail
+        #: where a directly dispatched instance lands, and the image tag
+        #: it must have; ``expected`` is None when the star body wraps
+        #: each instance in static blocks (the handler runs per instance)
+        self.kid_depth = kid_depth
+        self.expected = expected
+        self.kids = 0
+
+
 class GeneratedCodec:
-    """A compiled codec module bound to its InstMap."""
+    """A compiled codec module bound to its InstMap.
+
+    The module contributes one handler per source type; the dispatch
+    loop and the event driver are written here once, so modules cached
+    before the driver existed run through the same code."""
 
     __slots__ = ("source", "source_fingerprint", "target_fingerprint",
-                 "embedding_fingerprint", "map_tree", "map_text")
+                 "embedding_fingerprint", "_handlers", "_images", "_root",
+                 "_root_image", "_stars", "_empties")
 
-    def __init__(self, source: str, namespace: dict) -> None:
+    def __init__(self, source: str, namespace: dict,
+                 instmap: InstMap) -> None:
         self.source = source
         self.source_fingerprint = namespace["SOURCE_FINGERPRINT"]
         self.target_fingerprint = namespace["TARGET_FINGERPRINT"]
         self.embedding_fingerprint = namespace["EMBEDDING_FINGERPRINT"]
-        self.map_tree = namespace["map_tree"]
-        self.map_text = namespace["map_text"]
+        self._handlers = namespace["_H"]
+        self._images = namespace["_IMG"]
+        self._root = namespace["SOURCE_ROOT"]
+        self._root_image = namespace["ROOT_IMAGE"]
+        programs = instmap._program.programs
+        self._stars = frozenset(
+            tag for tag, program in programs.items() if program.kind == "star")
+        self._empties = frozenset(
+            tag for tag, program in programs.items()
+            if program.kind == "empty")
+
+    def _handler(self, tag: str, expected: str):
+        """The handler for one source element, after the same checks
+        the interpreter makes before mapping it."""
+        handler = self._handlers.get(tag)
+        if handler is None:
+            raise EmbeddingError(
+                f"instance element <{tag}> is not a source type of the "
+                "embedding (document does not conform to the source "
+                "schema)")
+        image = self._images[tag]
+        if image != expected:
+            raise EmbeddingError(
+                f"image of <{tag}> has tag <{expected}>, expected "
+                f"\u03bb({tag}) = {image}")
+        return handler
+
+    def _dispatch(self, out: list, stack: list) -> None:
+        """Run work items to exhaustion: ``(1, text, …)`` items are
+        output blocks, ``(0, node, depth, expected)`` items dispatch a
+        source element to its handler."""
+        pop = stack.pop
+        get = self._handlers.get
+        images = self._images
+        while stack:
+            kind, payload, depth, expected = pop()
+            if kind:
+                out.append(payload)
+                continue
+            tag = payload.tag
+            handler = get(tag)
+            if handler is None or images[tag] != expected:
+                handler = self._handler(tag, expected)  # raises
+            handler(out, stack, payload, depth)
+
+    def map_tree(self, root: ElementNode) -> str:
+        """Serialized \u03c3d(root) — byte-identical to
+        ``to_string(InstMap.apply(root).tree)``."""
+        if root.tag != self._root:
+            raise EmbeddingError(
+                f"instance root <{root.tag}> is not the source root "
+                f"<{self._root}>")
+        out: list = []
+        _pause_gc()
+        try:
+            self._dispatch(out, [(0, root, 0, self._root_image)])
+        finally:
+            _resume_gc()
+        return "\n".join(out)
+
+    def map_text(self, text: str) -> str:
+        """Parse, map and serialize in one pass over parser events."""
+        return "\n".join(self.iter_text(iter_events(text), StreamStats()))
+
+    def iter_text(self, events: Iterable, stats: StreamStats) -> Iterator[str]:
+        """Yield the serialized \u03c3d of an event stream as chunks; the
+        chunks joined with newlines are ``map_tree`` of the document.
+
+        On a mapping error the remaining events are drained before the
+        error propagates, so a later parse error wins — the precedence
+        of parsing the whole document before mapping it."""
+        it = iter(events)
+        try:
+            yield from self._drive(it, stats)
+        except EmbeddingError:
+            for _ in it:
+                pass
+            raise
+
+    def _frame(self, tag: str, depth: int, expected: str) -> _Frame:
+        """Open a streaming frame for a star-typed element.
+
+        The star handler is probed with one placeholder instance: what
+        it appends to ``out`` is the head block, the first item it
+        pushes is the tail, and the rest is the per-instance work — a
+        single ``(0, placeholder, …)`` item when instances are
+        dispatched directly."""
+        handler = self._handler(tag, expected)
+        placeholder = ElementNode(tag)
+        shell = ElementNode(tag)
+        shell.children = [placeholder]
+        head: list = []
+        items: list = []
+        handler(head, items, shell, depth)
+        if len(items) == 2 and items[1][1] is placeholder:
+            return _Frame(tag, depth, handler, head[0], items[0][1],
+                          items[1][2], items[1][3])
+        return _Frame(tag, depth, handler, head[0], items[0][1], depth, None)
+
+    def _drive(self, it: Iterator, stats: StreamStats) -> Iterator[str]:
+        first = next(it)  # parse errors propagate
+        tag = first[1]
+        if tag != self._root:
+            raise EmbeddingError(
+                f"instance root <{tag}> is not the source root "
+                f"<{self._root}>")
+        if tag not in self._stars:
+            # The root shape does not stream: map the whole document.
+            stats.whole_document = True
+            root = build_tree(chain((first,), it))
+            for _ in it:  # raise on trailing content after the root
+                pass
+            yield self.map_tree(root)
+            _sever(root)
+            return
+        stars = self._stars
+        empties = self._empties
+        frames = [self._frame(tag, 0, self._root_image)]
+        stats.frames_streamed += 1
+        out: list = []
+        stack: list = []
+        skip = 0
+        _pause_gc()
+        try:
+            for event in it:
+                kind = event[0]
+                if skip:
+                    # Inside an Empty-typed instance: handlers ignore
+                    # its children, so only the nesting is tracked.
+                    if kind == "start":
+                        skip += 1
+                    elif kind == "end":
+                        skip -= 1
+                    continue
+                if kind == "start":
+                    frame = frames[-1]
+                    if not frame.kids:
+                        out.append(frame.head)
+                    frame.kids += 1
+                    tag = event[1]
+                    expected = frame.expected
+                    if expected is not None and tag in stars:
+                        frames.append(
+                            self._frame(tag, frame.kid_depth, expected))
+                        stats.frames_streamed += 1
+                    elif expected is not None and tag in empties:
+                        # Empty handlers write static blocks only.
+                        self._handler(tag, expected)(
+                            out, stack, None, frame.kid_depth)
+                        skip = 1
+                    else:
+                        kid = build_tree(chain((event,), it))
+                        stats.fragments_buffered += 1
+                        if expected is not None:
+                            stack.append((0, kid, frame.kid_depth, expected))
+                        else:
+                            # One instance through the star handler:
+                            # drop its head (already out) and its tail.
+                            shell = ElementNode(frame.tag)
+                            shell.children = [kid]
+                            frame.handler([], stack, shell, frame.depth)
+                            del stack[0]
+                        self._dispatch(out, stack)
+                        _sever(kid)
+                elif kind == "end":
+                    frame = frames.pop()
+                    if frame.kids:
+                        out.append(frame.tail)
+                    else:
+                        # No instances: the handler's _codec_fallback
+                        # completes the image, as map_tree would.
+                        frame.handler(out, stack, ElementNode(frame.tag),
+                                      frame.depth)
+                        self._dispatch(out, stack)
+                    if not frames:
+                        break
+                # text at a star level is ignored, as by the handlers
+                if len(out) >= _CHUNK_BLOCKS:
+                    yield "\n".join(out)
+                    out.clear()
+            for _ in it:  # raise on trailing content after the root
+                pass
+        finally:
+            _resume_gc()
+        yield "\n".join(out)
 
 
 def compile_codec(source: str, instmap: InstMap) -> GeneratedCodec:
@@ -663,7 +877,7 @@ def compile_codec(source: str, instmap: InstMap) -> GeneratedCodec:
     code = compile(source, f"<repro-codec {fingerprint[:12]}>", "exec")
     exec(code, namespace)
     namespace["bind"](instmap)
-    return GeneratedCodec(source, namespace)
+    return GeneratedCodec(source, namespace, instmap)
 
 
 def generate_codec(instmap: InstMap, *, source_fingerprint: str = "",

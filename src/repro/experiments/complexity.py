@@ -26,10 +26,11 @@ from repro.xtree.nodes import tree_size
 
 
 def _school_instances(sizes: Sequence[int], seed: int = 0):
+    """One school document of at least each target size; raises
+    ``ValueError`` when no star mean reaches a target."""
     bundle = school_example()
     instmap = InstMap(bundle.sigma1)
     for target_size in sizes:
-        tree = None
         for star_mean in (1.5, 2.0, 3.0, 4.0, 6.0, 9.0, 14.0, 20.0, 30.0,
                           45.0, 70.0):
             generator = InstanceGenerator(bundle.classes,
@@ -38,7 +39,10 @@ def _school_instances(sizes: Sequence[int], seed: int = 0):
             tree = generator.generate()
             if tree_size(tree) >= target_size:
                 break
-        assert tree is not None
+        else:
+            raise ValueError(
+                f"no generated school document reaches {target_size} "
+                f"nodes for seed {seed}")
         yield bundle, tree, instmap
 
 

@@ -25,10 +25,10 @@ def iter_serialized(node: Node, indent: int | None = 2,
 
     ``"\\n".join(iter_serialized(...))`` (or ``"".join`` for
     ``indent=None``) equals :func:`to_string` on the same node.  The
-    ``depth`` offset lets the streaming executor emit a fragment as if
-    it sat ``depth`` levels inside an enclosing document, with every
-    line padded accordingly — the fragment's bytes land identical to
-    the same subtree serialised in place.
+    ``depth`` offset renders a fragment as if it sat ``depth`` levels
+    inside an enclosing document (the codec generator's static
+    blocks), with every line padded accordingly — the fragment's bytes
+    land identical to the same subtree serialised in place.
     """
     pieces: list[str] = []
     append = pieces.append

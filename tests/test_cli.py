@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from repro.cli import embedding_from_json, embedding_to_json, main
+from repro.core.instmap import InstMap
 from repro.workloads.library import school_example
 from repro.dtd.serialize import dtd_to_text
 from repro.xtree.nodes import tree_equal
@@ -61,6 +62,37 @@ def test_cli_embed_map_invert(files, capsys):
     assert code == 0
     recovered = parse_xml(capsys.readouterr().out)
     assert tree_equal(recovered, parse_xml(doc_path.read_text()))
+
+
+def test_cli_map_buffered_and_streamed_bytes_identical(files, school,
+                                                       capsys):
+    """``repro map``, ``repro map --stream`` and ``--stream --out`` write
+    the same bytes — the interpreter's serialization of σd — on a
+    school document long enough to stream in several chunks."""
+    tmp_path, source_path, target_path, _ = files
+    embedding_path = tmp_path / "sigma1.json"
+    embedding_path.write_text(embedding_to_json(school.sigma1))
+    doc_path = tmp_path / "big.xml"
+    doc_path.write_text("<db>" + "".join(
+        f"<class><cno>CS{i}</cno><title>T &amp; {i}</title>"
+        f"<type><project>p{i}</project></type></class>"
+        for i in range(700)) + "</db>")
+    args = ["map", str(source_path), str(target_path), str(embedding_path),
+            str(doc_path)]
+
+    assert main(args) == 0
+    buffered = capsys.readouterr().out
+    assert main(args + ["--stream"]) == 0
+    streamed = capsys.readouterr()
+    assert "frame(s) live" in streamed.err
+    out_path = tmp_path / "mapped.xml"
+    assert main(args + ["--stream", "--out", str(out_path)]) == 0
+    capsys.readouterr()
+
+    reference = InstMap(school.sigma1).apply(parse_xml(doc_path.read_text()))
+    assert buffered == to_string(reference.tree) + "\n"
+    assert streamed.out == buffered
+    assert out_path.read_text() == buffered
 
 
 def test_cli_translate(files, capsys):

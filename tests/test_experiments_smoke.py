@@ -1,13 +1,17 @@
 """Smoke tests for the experiment drivers and the table renderer."""
 
+import pytest
+
 from repro.experiments.accuracy import run_accuracy
 from repro.experiments.complexity import (
+    _school_instances,
     run_instmap_growth,
     run_inverse_growth,
     run_translation_growth,
 )
 from repro.experiments.report import format_table
 from repro.experiments.scalability import run_scalability
+from repro.xtree.nodes import tree_size
 
 
 def test_format_table_alignment():
@@ -46,6 +50,17 @@ def test_instmap_growth_rows():
     rows = run_instmap_growth(sizes=(50, 200), seed=2)
     assert len(rows) == 2
     assert all(row["|T2|"] >= row["|T1|"] for row in rows)
+
+
+def test_school_instances_reach_their_targets():
+    sizes = (100, 400, 1600, 6400)
+    for size, (_, tree, _) in zip(sizes, _school_instances(sizes, seed=4)):
+        assert tree_size(tree) >= size
+
+
+def test_school_instances_refuse_an_unreachable_target():
+    with pytest.raises(ValueError, match="25600 nodes"):
+        list(_school_instances([25600], seed=4))
 
 
 def test_inverse_growth_rows():

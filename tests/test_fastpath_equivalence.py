@@ -1,8 +1,9 @@
 """Fast-path equivalence: compiled programs vs. the reference walkers.
 
-The compiled document plane (:mod:`repro.engine.plan`), the streaming
-executor (:mod:`repro.engine.stream`) and the generated codecs
-(:mod:`repro.engine.codegen`) must all be **byte-identical** to the
+The compiled document plane (:mod:`repro.engine.plan`), the generated
+codecs (:mod:`repro.engine.codegen`) over trees and over parser events,
+and the streaming entry points over that event driver
+(:mod:`repro.engine.stream`) must all be **byte-identical** to the
 reference implementations — same serialized trees, same ``idM``
 correspondence, same inverse, same query answers, same errors — on
 randomized corpora over every library schema pair and a set of
@@ -15,19 +16,22 @@ from __future__ import annotations
 import pytest
 
 from repro.anfa.evaluate import evaluate_anfa
+from repro.core.embedding import build_embedding
 from repro.core.instmap import InstMap, MappingResult
 from repro.core.inverse import run_invert
 from repro.core.translate import Translator
 from repro.dtd.generate import random_instance
-from repro.engine.codegen import generate_codec
+from repro.engine.codegen import compile_codec, generate_codec
+from repro.engine.compiled import CompiledEmbedding
 from repro.engine.plan import InverseProgram
-from repro.engine.stream import iter_mapped, stream_map_to_path
+from repro.engine.stream import StreamStats, iter_mapped, stream_map_to_path
+from repro.schema import load_schema
 from repro.workloads.library import SCHEMA_LIBRARY
 from repro.workloads.noise import expand_schema
 from repro.workloads.queries import random_queries
 from repro.workloads.synthetic import random_dtd
 from repro.xtree.nodes import ElementNode, tree_equal
-from repro.xtree.parser import parse_xml
+from repro.xtree.parser import XMLParseError, parse_xml
 from repro.xtree.serialize import to_string
 
 
@@ -80,7 +84,8 @@ def _assert_equivalent(embedding, instance, queries) -> None:
     # bytes of the buffered pipeline over the same serialized text.
     text = to_string(instance)
     buffered = to_string(instmap.apply(parse_xml(text)).tree)
-    assert "".join(iter_mapped(instmap, text=text)) == buffered
+    compiled = CompiledEmbedding(embedding)
+    assert "".join(iter_mapped(compiled, text=text)) == buffered
 
     # Codec mode: the generated parse→map→serialize module produces the
     # same bytes from the tree and from text.  Every corpus shape here
@@ -131,6 +136,7 @@ def test_stream_and_codec_parse_errors_match_reference(school, tmp_path):
     ``parse_xml`` — and the atomic streaming writer leaves no partial
     output behind."""
     instmap = InstMap(school.sigma1)
+    compiled = CompiledEmbedding(school.sigma1)
     codec = generate_codec(instmap)
     prefix = ("<db><class><cno>1</cno><title>t</title>"
               "<type><project>p</project></type></class>")
@@ -143,7 +149,7 @@ def test_stream_and_codec_parse_errors_match_reference(school, tmp_path):
         with pytest.raises(ValueError) as reference:
             parse_xml(xml)
         with pytest.raises(ValueError) as streamed:
-            "".join(iter_mapped(instmap, text=xml))
+            "".join(iter_mapped(compiled, text=xml))
         assert str(streamed.value) == str(reference.value)
         with pytest.raises(ValueError) as generated:
             codec.map_text(xml)
@@ -151,7 +157,7 @@ def test_stream_and_codec_parse_errors_match_reference(school, tmp_path):
 
         out_path = tmp_path / "mapped.xml"
         with pytest.raises(ValueError):
-            stream_map_to_path(instmap, out_path, text=xml)
+            stream_map_to_path(compiled, out_path, text=xml)
         assert not out_path.exists()
         assert not list(tmp_path.glob(".repro-stream-*"))
 
@@ -160,6 +166,7 @@ def test_stream_and_codec_mapping_errors_match_interpreter(school):
     """Well-formed but non-conforming documents (single defect) raise
     the interpreter's exact error text from every execution mode."""
     instmap = InstMap(school.sigma1)
+    compiled = CompiledEmbedding(school.sigma1)
     codec = generate_codec(instmap)
     bad_documents = [
         "<dbx/>",                                   # wrong root element
@@ -170,11 +177,75 @@ def test_stream_and_codec_mapping_errors_match_interpreter(school):
         with pytest.raises(ValueError) as reference:
             instmap.apply(document)
         with pytest.raises(ValueError) as streamed:
-            "".join(iter_mapped(instmap, text=xml))
+            "".join(iter_mapped(compiled, text=xml))
         assert str(streamed.value) == str(reference.value)
         with pytest.raises(ValueError) as generated:
             codec.map_text(xml)
         assert str(generated.value) == str(reference.value)
+
+
+def test_parse_error_wins_over_earlier_mapping_error(school, tmp_path):
+    """A mapping defect followed by a parse defect raises the parse
+    error from every text surface — the precedence of parsing the whole
+    document before mapping it."""
+    compiled = CompiledEmbedding(school.sigma1)
+    cases = [
+        # unknown source type <klass>, then malformed markup
+        ("<db><klass><cno>1</cno></klass><bro ken</db>",
+         "expected '=' at line 1, column 40"),
+        # wrong root element, then malformed markup
+        ("<dbx><class></class><bro ken</dbx>",
+         "expected '=' at line 1, column 29"),
+    ]
+    for xml, message in cases:
+        with pytest.raises(XMLParseError, match=message):
+            parse_xml(xml)
+        with pytest.raises(XMLParseError, match=message):
+            compiled.map_text(xml)
+        with pytest.raises(XMLParseError, match=message):
+            "".join(iter_mapped(compiled, text=xml))
+        out_path = tmp_path / "mapped.xml"
+        with pytest.raises(XMLParseError, match=message):
+            stream_map_to_path(compiled, out_path, text=xml)
+        assert not out_path.exists()
+        assert not list(tmp_path.glob(".repro-stream-*"))
+
+
+def test_stream_skips_empty_instances_and_nests_star_frames():
+    """A star spine of star-typed groups whose Empty-typed items carry
+    undeclared child subtrees: items are skipped without building them,
+    groups stream as nested frames, and the bytes equal both the codec
+    over the parsed tree and the interpreter."""
+    source = load_schema("""
+        db -> group*
+        group -> item*
+        item -> eps
+    """, name="spine-src")
+    target = load_schema("""
+        db -> meta, groups
+        meta -> str
+        groups -> group*
+        group -> item*
+        item -> eps
+    """, name="spine-tgt")
+    embedding = build_embedding(
+        source, target,
+        lam={"db": "db", "group": "group", "item": "item"},
+        paths={("db", "group"): "groups/group", ("group", "item"): "item"})
+    embedding.check()
+    xml = ("<db><group><item><junk><deep>x</deep></junk>text</item>"
+           "<item/><item><undeclared/></item></group>"
+           "<group/>"
+           "<group><item><a><b><c/></b></a></item></group></db>")
+    compiled = CompiledEmbedding(embedding)
+    stats = StreamStats()
+    streamed = "".join(iter_mapped(compiled, text=xml, stats=stats))
+    document = parse_xml(xml)
+    assert streamed == compiled.codec.map_tree(document)
+    assert streamed == to_string(InstMap(embedding).apply(document).tree)
+    assert stats.frames_streamed == 4  # the root and three groups
+    assert stats.fragments_buffered == 0
+    assert not stats.whole_document
 
 
 def test_codec_source_is_deterministic(school):
@@ -184,6 +255,32 @@ def test_codec_source_is_deterministic(school):
     first = generate_codec(InstMap(school.sigma1))
     second = generate_codec(InstMap(school.sigma1))
     assert first.source == second.source
+
+
+def test_codec_sources_cached_before_the_event_driver_still_map(school):
+    """Codec sources already in artifact stores import ``_pause_gc``,
+    ``_resume_gc`` and ``parse_xml`` from the generator and define
+    their own ``map_tree``/``map_text``.  They must still compile, and
+    the driver must map through their handlers, never their own
+    entry points."""
+    instmap = InstMap(school.sigma1)
+    source = generate_codec(instmap).source
+    header_end = "    _pad,\n)\n"
+    assert header_end in source
+    cached = source.replace(
+        header_end,
+        "    _pad,\n    _pause_gc,\n    _resume_gc,\n    parse_xml,\n)\n", 1)
+    cached += ("\n\ndef map_tree(root):\n    raise AssertionError\n"
+               "\n\ndef map_text(text):\n    raise AssertionError\n")
+    codec = compile_codec(cached, instmap)
+    for xml in ("<db></db>",
+                "<db><class><cno>1</cno><title>t</title>"
+                "<type><project>p</project></type></class>"
+                "<class><cno>2</cno><title>u</title>"
+                "<type><regular><prereq/></regular></type></class></db>"):
+        expected = to_string(instmap.apply(parse_xml(xml)).tree)
+        assert codec.map_text(xml) == expected
+        assert codec.map_tree(parse_xml(xml)) == expected
 
 
 def test_partial_documents_fall_back_identically(school):
