@@ -25,16 +25,11 @@ checker                   invariant
 ``errors``                every exception type is ValueError/OSError-
                           rooted; entry modules raise nothing the
                           exit-2 boundary cannot catch
-``codecgen``              generated codec source is byte-identical
-                          across repeated generations (store cache
-                          hits must equal fresh generation)
 ========================  ==============================================
 
 The streaming/codec planes opt in via ``# lint: stream-plane`` /
 ``# lint: codec-plane`` module markers, which enrol a module in both
-the ``recursion`` and ``determinism`` checkers (generated codec
-modules carry ``codec-plane`` in their header, so they lint like
-hand-written document-plane code).
+the ``recursion`` and ``determinism`` checkers.
 
 Run it as ``repro lint [PATHS] [--json] [--baseline FILE]`` or via
 :func:`run_lint`.  Extending: a checker is a module with a ``CHECKER``
@@ -49,7 +44,6 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from repro.analysis import (
-    codecgen,
     determinism,
     errorcontract,
     forksafety,
@@ -72,7 +66,6 @@ CHECKERS = {
     recursion.CHECKER: recursion.check,
     forksafety.CHECKER: forksafety.check,
     errorcontract.CHECKER: errorcontract.check,
-    codecgen.CHECKER: codecgen.check,
 }
 
 

@@ -21,9 +21,8 @@ every test passes locally:
 The plane is the built-in module list below plus any module that
 declares ``# lint: determinism-plane`` — or ``# lint: stream-plane`` /
 ``# lint: codec-plane`` / ``# lint: translation-plane``: streamed
-chunks and generated codec source are both byte contracts (chunks must
-concatenate to the reference serialization; codec source is
-fingerprint-keyed in the store), and translation-plane composition
+chunks and codec output are byte contracts (both must concatenate to
+the reference serialization), and translation-plane composition
 must yield byte-stable state numbering (canonical renderings feed
 serve responses and trim certificates), so those planes opt into this
 checker too.  Justified

@@ -15,9 +15,9 @@ any function in the cycle, with the bound in the comment.
 
 The plane is the module list below plus any module declaring
 ``# lint: recursion-plane`` — or ``# lint: stream-plane`` /
-``# lint: codec-plane``, the markers the streaming module, the codec
-generator and every *generated* codec module carry: those modules walk
-documents too, so opting into their plane opts into this checker.
+``# lint: codec-plane``, the markers the streaming and codec modules
+carry: those modules walk documents too, so opting into their plane
+opts into this checker.
 Resolution is name-based and
 intra-module, so a call to another object's same-named method is only
 linked when it goes through ``self``/``cls`` — false edges are rare
@@ -45,7 +45,7 @@ PLANE_PREFIXES = ("repro.xtree.",)
 MODULE_MARKER = "recursion-plane"
 
 #: Markers that imply document-plane behaviour: the streaming module
-#: and the (generated) codec modules both walk whole documents, and
+#: and the codec module both walk whole documents, and
 #: translation-plane composition walks query spines whose length the
 #: user controls (deep chains must not recurse).
 IMPLIED_MARKERS = ("stream-plane", "codec-plane", "translation-plane")

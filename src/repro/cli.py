@@ -525,12 +525,6 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
         print(f"  lineage   {row['digest'][:12]}…  "
               f"{row['old'][:12]}… -> {row['new'][:12]}…  "
               f"embedding={embedding}")
-    for row in summary.get("codecs", []):
-        pair = (f"{row['source'][:12]}… -> {row['target'][:12]}…"
-                if row.get("source") and row.get("target")
-                else "schema pair unknown")
-        print(f"  codec     {row['embedding'][:12]}…  {pair}  "
-              f"provenance={row.get('provenance', 'unknown')}")
     return 0
 
 

@@ -23,19 +23,14 @@ persist/parallelise the compiled artifacts.
 * :mod:`repro.engine.stream` — streaming σd entry points: the codec's
   event driver fed from a text or a file, output as chunks or written
   atomically, memory bounded by the largest star instance;
-* :mod:`repro.engine.codegen` — generated per-schema codecs: the flat
-  mapping program specialised to Python source, compiled once and
-  cached in the artifact store, and the one event driver that runs
-  every text→text σd (``map_text``, ``/v1/map``, ``repro map``).
+* :mod:`repro.engine.codec` — per-schema codecs: the flat mapping
+  program specialised into one handler closure per source type, built
+  once per compiled embedding, and the one event driver that runs
+  every text→text σd (``map_text``, ``/v1/map``, ``repro map``,
+  ``repro batch map``).
 """
 
-from repro.engine.codegen import (
-    CodecError,
-    GeneratedCodec,
-    compile_codec,
-    generate_codec,
-    generate_codec_source,
-)
+from repro.engine.codec import Codec, CodecError, build_codec
 from repro.engine.compiled import CompiledEmbedding, CompiledSchema
 from repro.engine.plan import InverseProgram, MappingProgram, PlanError
 from repro.engine.stream import (
@@ -76,6 +71,7 @@ from repro.engine.storepack import (
 __all__ = [
     "ArtifactStore",
     "CacheStats",
+    "Codec",
     "CodecError",
     "CompiledEmbedding",
     "CompiledSchema",
@@ -84,7 +80,6 @@ __all__ = [
     "CorpusOutcome",
     "Engine",
     "EngineConfig",
-    "GeneratedCodec",
     "InverseProgram",
     "MappingProgram",
     "PackError",
@@ -95,11 +90,9 @@ __all__ = [
     "StoreView",
     "StreamStats",
     "TranslationOutcome",
-    "compile_codec",
+    "build_codec",
     "current_generation",
     "default_engine",
-    "generate_codec",
-    "generate_codec_source",
     "iter_corpora",
     "iter_corpus",
     "iter_mapped",

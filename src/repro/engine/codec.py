@@ -1,30 +1,28 @@
-"""Generated per-schema codecs — map + serialize fused into Python.
+"""Per-schema codecs — map + serialize fused, with no target tree.
 
 The interpreter (:mod:`repro.engine.plan`) runs one generic loop over
 flat instructions and then serializes the materialised target tree.
 For a fixed compiled embedding none of that genericity is needed: the
 per-production dispatch, the static mindef padding, element forms
 (``<t/>`` vs inline vs multiline) and the serializer's pad/escape work
-are all decidable from the instruction stream at *generation* time.
+are all decidable from the instruction stream when the codec is built.
 
-:func:`generate_codec_source` symbolically executes each type's
-``TypeProgram`` ops and emits a specialised Python module: one handler
-per source type appending prerendered static text blocks and pushing
-work items for hot children onto an explicit stack (no recursion — the
-generated module is iterative by construction), plus its dispatch
-tables.  No target tree is ever allocated on the fast path.
+:func:`build_codec` symbolically executes each type's ``TypeProgram``
+ops once and closes one handler per source type over the result:
+prerendered static blocks (re-padded once per absolute depth) and push
+templates for hot children.  A handler appends static text to the
+output and pushes work items onto an explicit stack, so mapping is
+iterative and no target tree is ever allocated on the fast path.
 
-The code that runs a module is written here once, in
-:class:`GeneratedCodec`: ``map_tree`` dispatches a parsed tree, and
-``map_text`` / ``iter_text`` drive the handlers from
+:class:`Codec` runs the handlers: ``map_tree`` dispatches a parsed
+tree, and ``map_text`` / ``iter_text`` drive them from
 :func:`~repro.xtree.parser.iter_events`.  The driver streams star
 spines — head block on the first instance, each instance built with
 ``build_tree`` off the shared iterator, mapped and released, tail at
 the end — skips Empty-typed instances with a depth counter, and
 buffers the whole document into ``map_tree`` when the root is not a
 star.  It is the only text→text ``σd`` path (``/v1/map``, ``repro
-map``, ``repro map --stream``); modules generated before it existed
-run through it unchanged.
+map``, ``repro map --stream``, ``repro batch map``).
 
 Byte-identity is inherited, not re-proven: static blocks are rendered
 through :func:`repro.xtree.serialize.iter_serialized` over trees built
@@ -35,13 +33,6 @@ interpreter serves through the reference ``_FragmentBuilder``
 :func:`_codec_fallback`, which builds the same reference fragment and
 splices its bytes into the output stream.  Codecs fix ``indent=2``
 (the serializer default used across Engine, CLI and serve).
-
-Determinism: generated source is a pure function of the embedding —
-handlers are numbered after sorting source type names, dispatch dict
-literals are sorted, and nothing else (timestamps, ids, set iteration)
-flows in.  Repeated generations are byte-identical, which makes the
-source safe to cache in the artifact store keyed by
-(schema fingerprint, embedding fingerprint).
 """
 # lint: codec-plane
 
@@ -66,13 +57,10 @@ from repro.engine.plan import (
 )
 from repro.xtree.nodes import ElementNode, TextNode
 from repro.xtree.parser import build_tree, iter_events
-# Codec modules generated before the event driver import ``parse_xml``.
-from repro.xtree.parser import parse_xml  # noqa: F401
 from repro.xtree.serialize import escape_text as _esc
 from repro.xtree.serialize import iter_serialized
 
-__all__ = ["CodecError", "GeneratedCodec", "StreamStats",
-           "generate_codec_source", "compile_codec", "generate_codec"]
+__all__ = ["Codec", "CodecError", "StreamStats", "build_codec"]
 
 
 class CodecError(ValueError):
@@ -80,7 +68,7 @@ class CodecError(ValueError):
     interpreter / reference path serves it instead)."""
 
 
-# -- runtime support shared by every generated module -------------------------
+# -- runtime support shared by every handler ----------------------------------
 
 _PADS: dict[int, str] = {}
 
@@ -91,17 +79,6 @@ def _pad(depth: int) -> str:
         pad = "  " * depth
         _PADS[depth] = pad
     return pad
-
-
-def _blk(cache: dict, lines: tuple, depth: int) -> str:
-    """One static block (lines pre-padded *relative* to the fragment),
-    re-padded to an absolute depth and cached per depth."""
-    block = cache.get(depth)
-    if block is None:
-        pad = _pad(depth)
-        block = "\n".join(pad + line for line in lines)
-        cache[depth] = block
-    return block
 
 
 def _sever(root) -> None:
@@ -165,7 +142,7 @@ def _codec_fallback(instmap: InstMap, out: list, stack: list,
     _sever(image)
 
 
-# -- generation-time virtual interpretation -----------------------------------
+# -- build-time virtual interpretation ----------------------------------------
 
 class _V:
     __slots__ = ("tag", "children")
@@ -257,7 +234,7 @@ def _static_lines(node: _V, rel: int) -> list[str]:
 #
 # Recursion here is bounded by the embedding's longest XR path (a
 # schema artifact, tens of steps), never by document depth —
-# generation walks the fragment template, not the instance.
+# building walks the fragment template, not the instance.
 # lint: allow-recursion
 def _render(node, rel: int, parts: list) -> None:
     if isinstance(node, _VText):
@@ -297,87 +274,6 @@ def _ops_parts(ops, image: str) -> list:
     parts: list = []
     _render(root, 0, parts)
     return parts
-
-
-# -- code emission ------------------------------------------------------------
-
-class _Writer:
-    """Accumulates generated static blocks deterministically."""
-
-    def __init__(self) -> None:
-        self.blocks: list[tuple[str, tuple[str, ...]]] = []
-
-    def block(self, lines: list[str]) -> str:
-        """Intern one static block; returns its ``_L{i}`` name."""
-        name = f"_L{len(self.blocks)}"
-        self.blocks.append((name, tuple(lines)))
-        return name
-
-
-def _tokens(writer: _Writer, parts: list, kid_exprs: dict,
-            depth_expr: str = "depth", allow_copy: bool = False) -> list:
-    """Compile a parts list into ("expr", code) / ("item", code) tokens
-    in document order.  Consecutive literal lines are interned as one
-    static block; ``kid_exprs`` maps hole slots to source-child
-    expressions; copy parts reference ``v`` and are only legal inside
-    ``str`` handlers."""
-    tokens: list[tuple[str, str]] = []
-    lit_run: list[str] = []
-
-    def flush() -> None:
-        if lit_run:
-            name = writer.block(lit_run)
-            tokens.append(
-                ("expr", f"_blk(_B{name[2:]}, {name}, {depth_expr})"))
-            lit_run.clear()
-
-    for part in parts:
-        if part[0] == "lit":
-            lit_run.append(part[1])
-            continue
-        flush()
-        if part[0] == "hole":
-            _, rel, slot, tag = part
-            at = depth_expr if rel == 0 else f"{depth_expr} + {rel}"
-            tokens.append(("item", f"(0, {kid_exprs[slot]}, {at}, {tag!r})"))
-        else:  # copy
-            if not allow_copy:
-                raise CodecError("PCDATA copy outside a str program")
-            _, rel, tag = part
-            at = depth_expr if rel == 0 else f"{depth_expr} + {rel}"
-            tokens.append(
-                ("expr",
-                 f'_pad({at}) + "<{tag}>" + _esc(v) + "</{tag}>"'))
-    flush()
-    return tokens
-
-
-def _handler_code(tokens: list, indent: str) -> list[str]:
-    """Handler body: the leading static run goes straight to ``out``;
-    everything from the first dispatch on is pushed reversed."""
-    code: list[str] = []
-    position = 0
-    while position < len(tokens) and tokens[position][0] == "expr":
-        code.append(f"{indent}out.append({tokens[position][1]})")
-        position += 1
-    for kind, expr in reversed(tokens[position:]):
-        if kind == "expr":
-            code.append(f'{indent}stack.append((1, {expr}, 0, ""))')
-        else:
-            code.append(f"{indent}stack.append({expr})")
-    return code
-
-
-def _items_code(tokens: list, indent: str) -> list[str]:
-    """Star-body tokens appended to ``items`` in document order (the
-    caller pushes ``reversed(items)`` once, after the kid loop)."""
-    code: list[str] = []
-    for kind, expr in tokens:
-        if kind == "expr":
-            code.append(f'{indent}items.append((1, {expr}, 0, ""))')
-        else:
-            code.append(f"{indent}items.append({expr})")
-    return code
 
 
 def _star_layout(program) -> tuple:
@@ -430,194 +326,200 @@ def _star_layout(program) -> tuple:
     return head, body_parts, tail, len(chain)
 
 
-_HEADER = '''\
-"""Generated per-schema codec — map + serialize fused.
+# -- handler templates --------------------------------------------------------
 
-Generated by repro.engine.codegen; regenerate instead of editing.
-Cached by (schema fingerprint, embedding fingerprint).
-"""
-# lint: codec-plane
-
-from repro.engine.codegen import (
-    ElementNode,
-    EmbeddingError,
-    TextNode,
-    _blk,
-    _codec_fallback,
-    _esc,
-    _pad,
-)
-
-'''
+def _indent(lines: tuple, depth: int) -> str:
+    """Static lines (padded relative to their fragment) as one output
+    block at an absolute depth."""
+    pad = _pad(depth)
+    return "\n".join(pad + line for line in lines)
 
 
-def generate_codec_source(instmap: InstMap, *,
-                          source_fingerprint: str = "",
-                          target_fingerprint: str = "",
-                          embedding_fingerprint: str = "") -> str:
-    """Emit the specialised codec module for one compiled embedding.
+def _template(parts: list, allow_copy: bool = False) -> tuple:
+    """A parts list as template tokens in document order: each run of
+    literal lines becomes one ``("lines", lines)`` token, holes and
+    copies pass through.  Copies are only legal in ``str`` programs."""
+    tokens: list = []
+    run: list[str] = []
+    for part in parts:
+        if part[0] == "lit":
+            run.append(part[1])
+            continue
+        if run:
+            tokens.append(("lines", tuple(run)))
+            run = []
+        if part[0] == "copy" and not allow_copy:
+            raise CodecError("PCDATA copy outside a str program")
+        tokens.append(part)
+    if run:
+        tokens.append(("lines", tuple(run)))
+    return tuple(tokens)
 
-    Deterministic: equal embeddings produce byte-identical source.
-    Raises :class:`CodecError` when the embedding runs on the
-    reference path (no static shape to specialise).
-    """
-    mp: Optional[MappingProgram] = instmap._program
-    if mp is None:
-        raise CodecError(
-            "embedding compiled onto the reference path; no static "
-            "shape to generate a codec from")
-    writer = _Writer()
-    type_names = sorted(mp.programs)
-    handler_names = {name: f"_h{index}"
-                     for index, name in enumerate(type_names)}
 
-    bodies: list[list[str]] = []
-    for source_type in type_names:
-        program = mp.programs[source_type]
-        code = [f"def {handler_names[source_type]}(out, stack, node, "
-                "depth):"]
-        kind = program.kind
-        if kind == "empty":
-            # Children of Empty-typed elements are ignored entirely.
-            parts = _ops_parts(program.ops, program.image)
-            code.extend(_handler_code(_tokens(writer, parts, {}), "    "))
-        elif kind == "str":
-            code.append("    ch = node.children")
-            code.append("    if not ch:")
-            code.append('        v = ""')
-            code.append("    elif len(ch) == 1 and isinstance(ch[0], "
-                        "TextNode):")
-            code.append("        v = ch[0].value")
-            code.append("    else:")
-            code.append("        raise EmbeddingError(")
-            message = (f"<{source_type}> has P({source_type}) = str but "
-                       "does not contain a single text value")
-            code.append(f"            {message!r})")
-            parts = _ops_parts(program.ops, program.image)
-            code.extend(_handler_code(
-                _tokens(writer, parts, {}, allow_copy=True), "    "))
-        elif kind == "concat":
-            code.append("    kids = [c for c in node.children "
-                        "if isinstance(c, ElementNode)]")
-            checks = [f"len(kids) == {len(program.expected)}"]
-            checks += [f"kids[{index}].tag == {tag!r}"
-                       for index, tag in enumerate(program.expected)]
-            condition = " and ".join(checks)
-            if len(condition) <= 68:
-                code.append(f"    if ({condition}):")
-            else:
-                code.append("    if (")
-                for check in checks[:-1]:
-                    code.append(f"            {check} and")
-                code.append(f"            {checks[-1]}):")
-            kid_exprs = {index: f"kids[{index}]"
-                         for index in range(len(program.expected))}
-            parts = _ops_parts(program.ops, program.image)
-            code.extend(_handler_code(
-                _tokens(writer, parts, kid_exprs), "        "))
-            code.append("    else:")
-            code.append("        _codec_fallback(_IM, out, stack, node, "
-                        f"depth, {program.image!r})")
-        elif kind == "disj":
-            code.append("    kids = [c for c in node.children "
-                        "if isinstance(c, ElementNode)]")
-            code.append("    if not kids:")
-            empty_parts = _ops_parts(program.empty_ops, program.image)
-            empty_code = _handler_code(
-                _tokens(writer, empty_parts, {}), "        ")
-            code.extend(empty_code if empty_code else ["        pass"])
-            code.append("        return")
-            code.append("    k = kids[0]")
-            code.append("    t = k.tag")
-            keyword = "if"
-            for alt_tag, alt_ops in program.alts.items():
-                code.append(f"    {keyword} t == {alt_tag!r}:")
-                parts = _ops_parts(alt_ops, program.image)
-                code.extend(_handler_code(
-                    _tokens(writer, parts, {0: "k"}), "        "))
-                keyword = "elif"
-            code.append("    else:")
-            code.append("        raise EmbeddingError(")
-            code.append(f'            "instance edge ({source_type}, " + t '
-                        '+ ", occ 1) is not covered"')
-            code.append('            " by the embedding (document does not '
-                        'conform to the source"')
-            code.append('            " schema)")')
-        else:  # star
-            head, body_parts, tail, kid_rel = _star_layout(program)
-            code.append("    kids = [c for c in node.children "
-                        "if isinstance(c, ElementNode)]")
-            code.append("    if not kids:")
-            code.append("        _codec_fallback(_IM, out, stack, node, "
-                        f"depth, {program.image!r})")
-            code.append("        return")
-            head_name = writer.block(head)
-            tail_name = writer.block(tail)
-            code.append(f"    out.append(_blk(_B{head_name[2:]}, "
-                        f"{head_name}, depth))")
-            code.append(f"    d = depth + {kid_rel}")
-            code.append(f"    stack.append((1, _blk(_B{tail_name[2:]}, "
-                        f'{tail_name}, depth), 0, ""))')
-            if (len(body_parts) == 1 and body_parts[0][0] == "hole"
-                    and body_parts[0][2] == LOOP_SLOT):
-                tag = body_parts[0][3]
-                code.append("    for k in reversed(kids):")
-                code.append(f"        stack.append((0, k, d, {tag!r}))")
-            else:
-                body_tokens = _tokens(writer, body_parts,
-                                      {LOOP_SLOT: "k"}, "d")
-                code.append("    items = []")
-                code.append("    for k in kids:")
-                code.extend(_items_code(body_tokens, "        "))
-                code.append("    stack.extend(reversed(items))")
-        bodies.append(code)
-
-    out: list[str] = [_HEADER]
-    out.append(f"SOURCE_FINGERPRINT = {source_fingerprint!r}")
-    out.append(f"TARGET_FINGERPRINT = {target_fingerprint!r}")
-    out.append(f"EMBEDDING_FINGERPRINT = {embedding_fingerprint!r}")
-    out.append(f"SOURCE_ROOT = {mp.source.root!r}")
-    out.append(f"ROOT_IMAGE = {mp.root_image!r}")
-    out.append("")
-    out.append("_IM = None")
-    out.append("")
-    out.append("")
-    out.append("def bind(instmap):")
-    out.append('    """Late-bind the owning InstMap (reference fallback '
-               'fragments)."""')
-    out.append("    global _IM")
-    out.append("    _IM = instmap")
-    out.append("")
-    for name, lines in writer.blocks:
-        out.append("")
-        if len(lines) == 1:
-            out.append(f"{name} = ({lines[0]!r},)")
+def _items(tokens: tuple, depth: int) -> list:
+    """Work items of static and hole tokens at an absolute depth, in
+    document order: ``(1, block, 0, "")`` output blocks, and hole
+    templates ``(0, slot, depth, tag)`` whose slot the handler replaces
+    by the source child."""
+    items: list = []
+    for token in tokens:
+        if token[0] == "lines":
+            items.append((1, _indent(token[1], depth), 0, ""))
         else:
-            out.append(f"{name} = (")
-            for line in lines:
-                out.append(f"    {line!r},")
-            out.append(")")
-        out.append(f"_B{name[2:]}" + " = {}")
-    for code in bodies:
-        out.append("")
-        out.append("")
-        out.extend(code)
-    out.append("")
-    out.append("")
-    out.append("_H = {")
-    for source_type in type_names:
-        out.append(f"    {source_type!r}: {handler_names[source_type]},")
-    out.append("}")
-    out.append("_IMG = {")
-    for source_type in type_names:
-        out.append(f"    {source_type!r}: "
-                   f"{mp.programs[source_type].image!r},")
-    out.append("}")
-    out.append("")
-    return "\n".join(out)
+            _, rel, slot, tag = token
+            items.append((0, slot, depth + rel, tag))
+    return items
 
 
-# -- the hand-written driver over a generated module --------------------------
+class _Fragment:
+    """A handler's rendered fragment, planned once per absolute depth.
+
+    Everything before the first hole is the *lead*, appended straight
+    to ``out`` as one block; a ``str`` program's lead is split at its
+    PCDATA copies and joined around the escaped text.  From the first
+    hole on the items are pushed reversed, so they pop in document
+    order."""
+
+    __slots__ = ("tokens", "plans")
+
+    def __init__(self, parts: list, allow_copy: bool = False) -> None:
+        self.tokens = _template(parts, allow_copy)
+        self.plans: dict[int, tuple] = {}
+
+    def _plan(self, depth: int) -> tuple:
+        tokens = self.tokens
+        first_hole = len(tokens)
+        for index, token in enumerate(tokens):
+            if token[0] == "hole":
+                first_hole = index
+                break
+        segments: list[str] = []
+        lines: list[str] = []
+        for token in tokens[:first_hole]:
+            if token[0] == "lines":
+                lines.append(_indent(token[1], depth))
+            else:  # copy: the text joins this segment and the next
+                _, rel, tag = token
+                lines.append(f"{_pad(depth + rel)}<{tag}>")
+                segments.append("\n".join(lines))
+                lines = [f"</{tag}>"]
+        if lines:
+            segments.append("\n".join(lines))
+        push = _items(tokens[first_hole:], depth)
+        plan = (tuple(segments) or None, tuple(reversed(push)))
+        self.plans[depth] = plan
+        return plan
+
+    def emit(self, out: list, stack: list, kids, depth: int,
+             text: str = "") -> None:
+        plan = self.plans.get(depth)
+        if plan is None:
+            plan = self._plan(depth)
+        lead, push = plan
+        if lead is not None:
+            out.append(text.join(lead))
+        for item in push:
+            stack.append(item if item[0] else
+                         (0, kids[item[1]], item[2], item[3]))
+
+
+def _build_handler(instmap: InstMap, source_type: str, program):
+    """The handler of one source type: ``handler(out, stack, node,
+    depth)`` appends the element's leading output blocks to ``out`` and
+    pushes the rest as work items, making the interpreter's checks."""
+    kind = program.kind
+    image = program.image
+    if kind == "empty":
+        # Children of Empty-typed elements are ignored entirely.
+        fragment = _Fragment(_ops_parts(program.ops, image))
+
+        def empty(out, stack, node, depth):
+            fragment.emit(out, stack, (), depth)
+        return empty
+
+    if kind == "str":
+        fragment = _Fragment(_ops_parts(program.ops, image),
+                             allow_copy=True)
+        message = (f"<{source_type}> has P({source_type}) = str but does "
+                   "not contain a single text value")
+
+        def text(out, stack, node, depth):
+            children = node.children
+            if not children:
+                value = ""
+            elif len(children) == 1 and isinstance(children[0], TextNode):
+                value = _esc(children[0].value)
+            else:
+                raise EmbeddingError(message)
+            fragment.emit(out, stack, (), depth, value)
+        return text
+
+    if kind == "concat":
+        expected = list(program.expected)
+        fragment = _Fragment(_ops_parts(program.ops, image))
+
+        def concat(out, stack, node, depth):
+            kids = [c for c in node.children if isinstance(c, ElementNode)]
+            if [kid.tag for kid in kids] == expected:
+                fragment.emit(out, stack, kids, depth)
+            else:
+                _codec_fallback(instmap, out, stack, node, depth, image)
+        return concat
+
+    if kind == "disj":
+        none = _Fragment(_ops_parts(program.empty_ops, image))
+        alts = {tag: _Fragment(_ops_parts(ops, image))
+                for tag, ops in program.alts.items()}
+
+        def disj(out, stack, node, depth):
+            kids = [c for c in node.children if isinstance(c, ElementNode)]
+            if not kids:
+                none.emit(out, stack, kids, depth)
+                return
+            alt = alts.get(kids[0].tag)
+            if alt is None:
+                raise EmbeddingError(
+                    f"instance edge ({source_type}, {kids[0].tag}, occ 1) "
+                    "is not covered by the embedding (document does not "
+                    "conform to the source schema)")
+            alt.emit(out, stack, kids, depth)
+        return disj
+
+    head, body_parts, tail, kid_rel = _star_layout(program)
+    body = _template(body_parts)
+    # A body that is one bare hole dispatches each instance directly.
+    direct = (body[0][3] if len(body) == 1 and body[0][0] == "hole"
+              and body[0][2] == LOOP_SLOT else None)
+    plans: dict[int, tuple] = {}
+
+    def star(out, stack, node, depth):
+        kids = [c for c in node.children if isinstance(c, ElementNode)]
+        if not kids:
+            _codec_fallback(instmap, out, stack, node, depth, image)
+            return
+        plan = plans.get(depth)
+        if plan is None:
+            d = depth + kid_rel
+            plan = plans[depth] = (
+                _indent(head, depth), (1, _indent(tail, depth), 0, ""),
+                d, _items(body, d))
+        head_block, tail_item, d, body_items = plan
+        out.append(head_block)
+        stack.append(tail_item)
+        if direct is not None:
+            for kid in reversed(kids):
+                stack.append((0, kid, d, direct))
+            return
+        items = []
+        for kid in kids:
+            for item in body_items:
+                items.append(item if item[0] else
+                             (0, kid, item[2], item[3]))
+        stack.extend(reversed(items))
+    return star
+
+
+# -- the driver over the handlers ---------------------------------------------
 
 @dataclass
 class StreamStats:
@@ -641,7 +543,7 @@ class _Frame:
     """One open star-typed source element whose instances stream.
 
     ``head``/``tail`` and the per-instance dispatch come from the star
-    handler itself (see :meth:`GeneratedCodec._frame`), so a streamed
+    handler itself (see :meth:`Codec._frame`), so a streamed
     frame emits the very bytes ``map_tree`` emits for the element."""
 
     __slots__ = ("tag", "depth", "handler", "head", "tail", "kid_depth",
@@ -662,28 +564,29 @@ class _Frame:
         self.kids = 0
 
 
-class GeneratedCodec:
-    """A compiled codec module bound to its InstMap.
+class Codec:
+    """One embedding's handlers and the driver that runs them.
 
-    The module contributes one handler per source type; the dispatch
-    loop and the event driver are written here once, so modules cached
-    before the driver existed run through the same code."""
+    The handlers are closures built once per source type; the dispatch
+    loop and the event driver are written here once."""
 
-    __slots__ = ("source", "source_fingerprint", "target_fingerprint",
-                 "embedding_fingerprint", "_handlers", "_images", "_root",
-                 "_root_image", "_stars", "_empties")
+    __slots__ = ("_handlers", "_images", "_root", "_root_image", "_stars",
+                 "_empties")
 
-    def __init__(self, source: str, namespace: dict,
-                 instmap: InstMap) -> None:
-        self.source = source
-        self.source_fingerprint = namespace["SOURCE_FINGERPRINT"]
-        self.target_fingerprint = namespace["TARGET_FINGERPRINT"]
-        self.embedding_fingerprint = namespace["EMBEDDING_FINGERPRINT"]
-        self._handlers = namespace["_H"]
-        self._images = namespace["_IMG"]
-        self._root = namespace["SOURCE_ROOT"]
-        self._root_image = namespace["ROOT_IMAGE"]
-        programs = instmap._program.programs
+    def __init__(self, instmap: InstMap) -> None:
+        mp: Optional[MappingProgram] = instmap._program
+        if mp is None:
+            raise CodecError(
+                "embedding compiled onto the reference path; no static "
+                "shape to build a codec from")
+        programs = mp.programs
+        self._handlers = {
+            tag: _build_handler(instmap, tag, program)
+            for tag, program in programs.items()}
+        self._images = {tag: program.image
+                        for tag, program in programs.items()}
+        self._root = mp.source.root
+        self._root_image = mp.root_image
         self._stars = frozenset(
             tag for tag, program in programs.items() if program.kind == "star")
         self._empties = frozenset(
@@ -866,26 +769,7 @@ class GeneratedCodec:
         yield "\n".join(out)
 
 
-def compile_codec(source: str, instmap: InstMap) -> GeneratedCodec:
-    """Compile codec source and bind it to ``instmap``."""
-    fingerprint = ""
-    for line in source.splitlines():
-        if line.startswith("EMBEDDING_FINGERPRINT"):
-            fingerprint = line.split("=", 1)[1].strip().strip("'\"")
-            break
-    namespace: dict = {}
-    code = compile(source, f"<repro-codec {fingerprint[:12]}>", "exec")
-    exec(code, namespace)
-    namespace["bind"](instmap)
-    return GeneratedCodec(source, namespace, instmap)
-
-
-def generate_codec(instmap: InstMap, *, source_fingerprint: str = "",
-                   target_fingerprint: str = "",
-                   embedding_fingerprint: str = "") -> GeneratedCodec:
-    """Generate, compile and bind in one step."""
-    source = generate_codec_source(
-        instmap, source_fingerprint=source_fingerprint,
-        target_fingerprint=target_fingerprint,
-        embedding_fingerprint=embedding_fingerprint)
-    return compile_codec(source, instmap)
+def build_codec(instmap: InstMap) -> Codec:
+    """The codec of one compiled embedding; raises :class:`CodecError`
+    when the embedding runs on the reference path."""
+    return Codec(instmap)

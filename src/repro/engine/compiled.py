@@ -196,33 +196,21 @@ class CompiledEmbedding:
             return self._inverse.apply(target_root, strict=strict)
         return run_invert(self.embedding, target_root, strict=strict)
 
-    # -- generated codec ----------------------------------------------------
+    # -- codec ------------------------------------------------------------
     @property
     def codec(self):
-        """The generated parse→map→serialize codec, or ``None`` when
-        the embedding's shape cannot be specialised (the interpreter /
-        reference path serves those).  Generated and compiled at most
-        once per artifact; warm starts attach cached source instead via
-        :meth:`attach_codec`."""
+        """The parse→map→serialize codec, or ``None`` when the
+        embedding's shape cannot be specialised (the interpreter /
+        reference path serves those).  Built at most once per artifact;
+        warm starts build it up front for validated embeddings."""
         if self._codec is None:
-            from repro.engine.codegen import CodecError, generate_codec
+            from repro.engine.codec import CodecError, build_codec
 
             try:
-                self._codec = generate_codec(
-                    self.instmap,
-                    source_fingerprint=self.source_schema.fingerprint,
-                    target_fingerprint=self.target_schema.fingerprint,
-                    embedding_fingerprint=self.fingerprint)
+                self._codec = build_codec(self.instmap)
             except CodecError:
                 self._codec = False  # shape refused: no codec
         return self._codec or None
-
-    def attach_codec(self, source: str) -> None:
-        """Compile cached codec source (from the artifact store) and
-        bind it to this embedding's InstMap — zero regeneration."""
-        from repro.engine.codegen import compile_codec
-
-        self._codec = compile_codec(source, self.instmap)
 
     def map_text(self, text: str) -> str:
         """Serialized ``σd`` of an XML text, through the codec when one

@@ -37,8 +37,6 @@ from repro.core.instmap import MappingResult
 from repro.engine.corpus import CorpusDocument, iter_corpus
 from repro.engine.session import Engine, EngineConfig
 from repro.engine.store import ArtifactStore
-from repro.xtree.parser import parse_xml
-from repro.xtree.serialize import to_string
 
 #: Documents/queries per pool task; small enough that a 4-worker pool
 #: stays busy on a few hundred items, large enough to amortise IPC.
@@ -102,15 +100,10 @@ class _WorkerContext:
             # compile misses — the same warm-start contract as
             # Engine.warm_start, scoped to the batch.
             store = ArtifactStore(store_path, create=False)
-            if isinstance(embedding_ref, str):
-                fingerprint = embedding_ref
-                embedding_ref = store.get_embedding(fingerprint)
-            else:
-                fingerprint = embedding_ref.fingerprint()
-            compiled = self.engine.compile_embedding(embedding_ref)
-            if store.embedding_validated(fingerprint):
-                compiled.mark_validated()
-                compiled.instmap
+            fingerprint = (embedding_ref if isinstance(embedding_ref, str)
+                           else embedding_ref.fingerprint())
+            embedding_ref = self.engine.load_embedding(
+                store, fingerprint).embedding
             self.engine.reset_stats()
         assert isinstance(embedding_ref, SchemaEmbedding)
         self.embedding = embedding_ref
@@ -178,11 +171,9 @@ def _corpus_chunk(task):
     outcomes = []
     for name, text in rows:
         try:
-            document = parse_xml(text)
-            result = context.engine.apply_embedding(context.embedding,
-                                                    document,
-                                                    validate=validate)
-            outcomes.append(CorpusOutcome(name, True, to_string(result.tree)))
+            output = context.engine.map_text(context.embedding, text,
+                                             validate=validate)
+            outcomes.append(CorpusOutcome(name, True, output))
         except Exception as exc:  # one bad document must not sink the batch
             outcomes.append(CorpusOutcome(
                 name, False, f"{type(exc).__name__}: {exc}"))
@@ -253,10 +244,12 @@ class ParallelRunner:
     def map_corpus(self, embedding: SchemaEmbedding,
                    corpus: Union[str, Path, Iterable[CorpusDocument]],
                    validate: bool = True) -> list[CorpusOutcome]:
-        """Parse + map + render a corpus; workers absorb the parse cost
-        too.  ``corpus`` may be a path (directory / NDJSON / XML file)
-        or any stream of :class:`CorpusDocument` / ``(name, text)``
-        pairs.  Failures come back as per-document outcomes."""
+        """Map a corpus text→text through :meth:`Engine.map_text`,
+        the path ``repro map`` and ``/v1/map`` take, so outputs and
+        error texts equal theirs; workers absorb the parse cost too.
+        ``corpus`` may be a path (directory / NDJSON / XML file) or any
+        stream of :class:`CorpusDocument` / ``(name, text)`` pairs.
+        Failures come back as per-document outcomes."""
         if isinstance(corpus, (str, Path)):
             corpus = iter_corpus(corpus)
         rows = ((document.name, document.text)

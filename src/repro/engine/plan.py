@@ -505,7 +505,7 @@ class MappingProgram:
         """One fragment's hot pairs through the compiled (sparse)
         plane, or ``None`` when only the reference builder can serve
         the shape — the single-fragment twin of :meth:`_serve_sparse`
-        used by the generated codecs' fallback splice."""
+        used by the codecs' fallback splice."""
         program = self.programs.get(source_node.tag)
         if program is None or program.image != image.tag:
             return None

@@ -250,7 +250,7 @@ class Engine:
 
     def map_text(self, embedding: SchemaEmbedding, text: str,
                  validate: bool = True) -> str:
-        """Serialized ``σd`` of an XML text through the generated codec
+        """Serialized ``σd`` of an XML text through the codec
         (parse→map→serialize fused; byte-identical to serializing
         :meth:`apply_embedding` on the parsed document).  Embeddings
         whose shape has no codec take the interpreted path inside
@@ -394,16 +394,6 @@ class Engine:
             store.put_embedding(
                 compiled.embedding,  # type: ignore[union-attr]
                 validated=compiled.validated)  # type: ignore[union-attr]
-            # Persist the generated codec so warm starts (daemon,
-            # pre-fork fleet) attach it with zero regeneration; shapes
-            # the generator refuses simply store no codec.
-            codec = compiled.codec  # type: ignore[union-attr]
-            if codec is not None:
-                store.put_codec(
-                    fp, codec.source,  # type: ignore[arg-type]
-                    source_schema=codec.source_fingerprint,
-                    target_schema=codec.target_fingerprint,
-                    provenance="engine-save")
         for key, result in searches:
             store.put_search(key, result)  # type: ignore[arg-type]
         return store
@@ -447,28 +437,26 @@ class Engine:
                 search_cache=max(defaults.search_cache,
                                  len(store.manifest["searches"])))
         engine = cls(config)
-        codec_fps = (frozenset(store.codec_fingerprints())
-                     if hasattr(store, "codec_fingerprints")
-                     else frozenset())
         for fingerprint in store.schema_fingerprints():
             engine.compile_schema(store.get_schema(fingerprint))
         for fingerprint in store.embedding_fingerprints():
-            compiled = engine.compile_embedding(
-                store.get_embedding(fingerprint))
-            if store.embedding_validated(fingerprint):
-                compiled.mark_validated()
-                # Prebuild the pfrag templates too: the first mapping
-                # request should pay nothing but the walk itself.
-                compiled.instmap
-            if fingerprint in codec_fps:
-                # Cached codec source: compile + bind, zero regeneration.
-                compiled.attach_codec(
-                    store.get_codec_source(fingerprint))
+            engine.load_embedding(store, fingerprint)
         for key, result in store.iter_searches():
             with engine._lock:
                 engine._searches.put(key, result)
         engine.reset_stats()
         return engine
+
+    def load_embedding(self, store, fingerprint: str) -> CompiledEmbedding:
+        """Compile one stored embedding for serving (warm start, fleet
+        reload).  An embedding the store marks validated is marked so
+        here, and its pfrag templates and codec are built now: the
+        first mapping request pays nothing but the walk itself."""
+        compiled = self.compile_embedding(store.get_embedding(fingerprint))
+        if store.embedding_validated(fingerprint):
+            compiled.mark_validated()
+            compiled.codec  # builds the InstMap too
+        return compiled
 
     def ensure_capacity(self, schemas: Optional[int] = None,
                         embeddings: Optional[int] = None) -> None:

@@ -26,13 +26,10 @@ fingerprints the engine caches use:
   written before it existed carry no ``lineage`` manifest key and keep
   reading back unchanged, and recording the first edge touches only
   the manifest and the new edge file — never the existing artifacts;
-* ``codecs/<fp>.py`` — the generated parse→map→serialize codec source
-  of one embedding (:mod:`repro.engine.codegen`), keyed by the
-  embedding fingerprint with the (source schema, target schema)
-  fingerprint pair and generation provenance in the manifest entry.
-  Codec generation is deterministic, so the file doubles as its own
-  cache key; like ``lineage`` the section is lazy and pre-codec stores
-  read back cleanly without any artifact file being rewritten.
+* ``codecs/<fp>.py`` — a legacy section: stores written while codecs
+  were generated as Python source cached them here, with a ``codecs``
+  manifest section.  Codecs are now built in memory at load, so the
+  section is ignored — never read, never written, and kept as found.
 
 A new process calls ``Engine.warm_start(path)`` and serves with zero
 schema/embedding compile misses; ``Engine.save_store(path)`` persists a
@@ -233,11 +230,11 @@ class ArtifactStore:
                 on_disk = {}
             if on_disk.get("format") == FORMAT \
                     and on_disk.get("version") == VERSION:
-                # "lineage" and "codecs" are lazy — older manifests
-                # carry no such key on either side, hence
-                # .get/setdefault on both rather than indexing.
+                # "lineage" is lazy — older manifests carry no such
+                # key on either side, hence .get/setdefault on both
+                # rather than indexing.
                 for section in ("schemas", "embeddings", "searches",
-                                "lineage", "codecs"):
+                                "lineage"):
                     on_disk_section = on_disk.get(section)
                     if not on_disk_section:
                         continue
@@ -484,43 +481,6 @@ class ArtifactStore:
         for digest in self.lineage_digests():
             yield digest, self.get_lineage(digest)
 
-    # -- generated codecs ----------------------------------------------------------
-    def put_codec(self, fingerprint: str, source: str,
-                  source_schema: str = "", target_schema: str = "",
-                  provenance: str = "generated") -> str:
-        """Cache one embedding's generated codec source; idempotent per
-        embedding fingerprint.
-
-        ``source_schema``/``target_schema`` record the (schema,
-        embedding) fingerprint pair the codec was generated for and
-        ``provenance`` who generated it (``generated``, ``warm-start``,
-        a build id, …).  Like ``lineage``, the section is created on
-        first write — pre-codec stores gain it without any existing
-        artifact file being rewritten.
-        """
-        section = self.manifest.setdefault("codecs", {})
-        if fingerprint not in section:
-            self._write_text(f"codecs/{fingerprint}.py", source)
-            section[fingerprint] = {"source": source_schema,
-                                    "target": target_schema,
-                                    "provenance": provenance}
-            self._flush_manifest()
-        return fingerprint
-
-    def get_codec_source(self, fingerprint: str) -> str:
-        """The generated codec source cached for one embedding."""
-        if fingerprint not in self.manifest.get("codecs", {}):
-            raise StoreError(
-                f"no codec for embedding {fingerprint[:12]}… in "
-                f"{self.root}")
-        path = self.root / f"codecs/{fingerprint}.py"
-        if not path.exists():
-            raise StoreError(f"missing codec file {path}")
-        return path.read_text()
-
-    def codec_fingerprints(self) -> list[str]:
-        return sorted(self.manifest.get("codecs", {}))
-
     # -- inspection ------------------------------------------------------------------
     def describe(self) -> dict:
         """A manifest summary for ``repro store inspect``."""
@@ -541,10 +501,6 @@ class ArtifactStore:
                 {"digest": digest, **meta}
                 for digest, meta in sorted(
                     self.manifest.get("lineage", {}).items())],
-            "codecs": [
-                {"embedding": fp, **meta}
-                for fp, meta in sorted(
-                    self.manifest.get("codecs", {}).items())],
         }
 
     def __repr__(self) -> str:

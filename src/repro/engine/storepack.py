@@ -16,7 +16,9 @@ Layout of a pack file::
 
 The index is one pickled dict mapping fingerprints to ``(offset,
 length)`` blob spans; blobs are pickled artifact payloads (the same
-structural dicts the JSON store writes, minus the JSON).  A
+structural dicts the JSON store writes, minus the JSON).  Packs
+written while codecs were cached as generated source also carry a
+``codecs`` index section; it is ignored and never carried forward.  A
 :class:`StoreView` mmaps the file and parses *only* the index at open —
 O(index), not O(artifacts) — then materialises artifacts lazily from
 the mapped pages.  The kernel shares those pages across every process
@@ -142,8 +144,7 @@ def pack_store(store: Union[str, Path, ArtifactStore],
         generation = 1 if active is None else active + 1
 
     index: dict = {"generation": generation,
-                   "schemas": {}, "embeddings": {}, "searches": {},
-                   "codecs": {}}
+                   "schemas": {}, "embeddings": {}, "searches": {}}
     blobs = io.BytesIO()
 
     def add(payload) -> tuple[int, int]:
@@ -165,14 +166,6 @@ def pack_store(store: Union[str, Path, ArtifactStore],
             "source": embedding.source.fingerprint(),
             "target": embedding.target.fingerprint(),
             "validated": store.embedding_validated(fingerprint)}
-    for fingerprint in store.codec_fingerprints():
-        offset, length = add(store.get_codec_source(fingerprint))
-        meta = store.manifest.get("codecs", {}).get(fingerprint, {})
-        index["codecs"][fingerprint] = {
-            "offset": offset, "length": length,
-            "source": meta.get("source", ""),
-            "target": meta.get("target", ""),
-            "provenance": meta.get("provenance", "generated")}
     for key, result in store.iter_searches():
         offset, length = add({
             "key": key,
@@ -217,7 +210,8 @@ def _carry_forward(index: dict, blobs: io.BytesIO,
     keep their flag: the debt persists across generations until a
     ``compact`` pack drops it."""
     with StoreView(previous_path) as previous:
-        for section in ("schemas", "embeddings", "codecs", "searches"):
+        # A legacy "codecs" index (cached codec source) is not carried.
+        for section in ("schemas", "embeddings", "searches"):
             live = index[section]
             for key, entry in previous._index.get(section, {}).items():
                 if key in live:
@@ -280,7 +274,7 @@ class StoreView:
         #: served one — the hot-reload debt surfaced via ``/metrics``.
         self._stale = frozenset(
             key
-            for section in ("schemas", "embeddings", "codecs")
+            for section in ("schemas", "embeddings")
             for key, entry in self._index.get(section, {}).items()
             if entry.get("carried"))
         self.stale_serves = 0
@@ -328,10 +322,7 @@ class StoreView:
         written against the JSON store's manifest keeps working."""
         return {"schemas": self._index["schemas"],
                 "embeddings": self._index["embeddings"],
-                "searches": self._index["searches"],
-                # Packs written before the codec plane carry no
-                # "codecs" index key; they read back as empty.
-                "codecs": self._index.get("codecs", {})}
+                "searches": self._index["searches"]}
 
     def schema_fingerprints(self) -> list[str]:
         return sorted(self._index["schemas"])
@@ -383,19 +374,6 @@ class StoreView:
         entry = self._index["embeddings"].get(fingerprint)
         return bool(entry and entry.get("validated"))
 
-    def codec_fingerprints(self) -> list[str]:
-        return sorted(self._index.get("codecs", {}))
-
-    def get_codec_source(self, fingerprint: str) -> str:
-        if fingerprint in self._stale:
-            self.stale_serves += 1
-        entry = self._index.get("codecs", {}).get(fingerprint)
-        if entry is None:
-            raise PackError(
-                f"no codec for embedding {fingerprint[:12]}… in "
-                f"{self.path}")
-        return self._blob(entry)
-
     def iter_searches(self) -> Iterator[tuple[tuple, SearchResult]]:
         for digest in sorted(self._index["searches"]):
             payload = self._blob(self._index["searches"][digest])
@@ -413,7 +391,6 @@ class StoreView:
             "schemas": len(self._index["schemas"]),
             "embeddings": len(self._index["embeddings"]),
             "searches": len(self._index["searches"]),
-            "codecs": len(self._index.get("codecs", {})),
             "json_parses": self.json_parses,
             "unpickles": self.unpickles,
             "stale": len(self._stale),

@@ -1,13 +1,13 @@
 """Streaming ``σd`` entry points — chunked and atomic-file output.
 
-The mapping itself is the generated codec's event driver
-(:meth:`repro.engine.codegen.GeneratedCodec.iter_text`): star spines
-stream instance by instance off :func:`repro.xtree.parser.iter_events`
-/ ``iter_events_path``, each instance is built, mapped by the codec's
-handlers and released, so peak memory is bounded by the largest star
-instance rather than the document.  This module only feeds it a text
-or a file and hands the output on as chunks, to a callback, or into a
-file.
+The mapping itself is the codec's event driver
+(:meth:`repro.engine.codec.Codec.iter_text`): star spines stream
+instance by instance off :func:`repro.xtree.parser.iter_events` /
+``iter_events_path``, each instance is built, mapped by the codec's
+handler closures and released, so peak memory is bounded by the
+largest star instance rather than the document.  This module only
+feeds it a text or a file and hands the output on as chunks, to a
+callback, or into a file.
 
 Embeddings without a codec (reference-path or refused shapes) are
 mapped whole by the interpreter, byte-identically.  Errors are those
@@ -24,7 +24,7 @@ import os
 import tempfile
 from typing import Callable, Iterator, Optional
 
-from repro.engine.codegen import StreamStats
+from repro.engine.codec import StreamStats
 from repro.engine.compiled import CompiledEmbedding
 from repro.xtree.parser import build_tree, iter_events, iter_events_path
 from repro.xtree.serialize import to_string

@@ -66,7 +66,7 @@ def run_instmap_growth(sizes: Sequence[int] = (100, 400, 1600, 6400),
 
 def run_codec_growth(sizes: Sequence[int] = (100, 400, 1600, 6400),
                      seed: int = 0) -> list[dict]:
-    """Fused map→serialize throughput of the generated codec against
+    """Fused map→serialize throughput of the engine's codec against
     the interpreted InstMap, byte-identity checked per row.
 
     Both sides start from the same parsed tree (what ``run_instmap_growth``

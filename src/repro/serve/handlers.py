@@ -196,14 +196,8 @@ class ServiceState:
                 new_schemas[fingerprint] = schema
         for fingerprint in view.embedding_fingerprints():
             if fingerprint not in self.embeddings:
-                embedding = view.get_embedding(fingerprint)
-                compiled = self.engine.compile_embedding(embedding)
-                if view.embedding_validated(fingerprint):
-                    compiled.mark_validated()
-                    compiled.instmap
-                if fingerprint in view.codec_fingerprints():
-                    compiled.attach_codec(view.get_codec_source(fingerprint))
-                new_embeddings[fingerprint] = embedding
+                compiled = self.engine.load_embedding(view, fingerprint)
+                new_embeddings[fingerprint] = compiled.embedding
         with self._lock:
             self.schemas.update(new_schemas)
             self.embeddings.update(new_embeddings)
@@ -392,7 +386,7 @@ def _handle_map(state: ServiceState, payload: dict) -> dict:
     options = parse_fields(payload, ENDPOINT_FIELDS["/v1/map"])
 
     def apply_one(embedding: SchemaEmbedding, xml: str) -> str:
-        # Parse→map→serialize through the generated codec when the
+        # Parse→map→serialize through the codec when the
         # embedding has one (byte-identical to serializing the
         # interpreted mapping, asserted by the equivalence tests).
         return state.engine.map_text(embedding, xml,

@@ -12,8 +12,8 @@ content models (whitespace-only text between elements is dropped).
 
 There is one scanner loop, :func:`_element_events`, which yields
 SAX-style events.  :func:`parse_xml` is :func:`build_tree` over
-:func:`iter_events`, and the generated codecs' event driver
-(:mod:`repro.engine.codegen`) maps text from the same events, so every
+:func:`iter_events`, and the codecs' event driver
+(:mod:`repro.engine.codec`) maps text from the same events, so every
 mode lexes, groups text and reports errors identically.
 """
 
@@ -361,7 +361,7 @@ def _open_tag(scanner: _Scanner, allow_attributes: bool) -> tuple[str, bool]:
 
 # -- SAX-style event mode -----------------------------------------------------
 # _element_events is the only scanner loop.  parse_xml builds trees from
-# its events; the generated codecs' event driver (repro.engine.codegen)
+# its events; the codecs' event driver (repro.engine.codec)
 # maps straight from them, one star instance at a time, never
 # materialising the whole source tree.  A malformed document therefore
 # raises the same XMLParseError (message, line, column) in either mode.

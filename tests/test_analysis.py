@@ -367,8 +367,7 @@ def test_shipped_tree_has_zero_findings():
 
 def test_stream_and_codec_plane_markers_opt_into_recursion(tmp_path):
     # The streaming/codec plane markers enrol a module in the
-    # document-plane recursion checker (generated codecs carry
-    # codec-plane in their header and must land recursion-free).
+    # document-plane recursion checker.
     for marker in ("stream-plane", "codec-plane"):
         root = write_pkg(tmp_path / marker, {
             "repro/plugin/walker.py":
@@ -395,17 +394,11 @@ def test_stream_and_codec_plane_markers_opt_into_determinism(tmp_path):
         assert codes(findings) == {"determinism/set-iteration"}, marker
 
 
-def test_codecgen_checker_passes_on_the_shipped_generator():
-    findings = run_lint([REPO / "src" / "repro" / "engine" / "codegen.py"],
-                        root=REPO, checkers=["codecgen"])
-    assert findings == [], "\n".join(f.render() for f in findings)
-
-
 def test_every_checker_ran_on_the_shipped_tree():
     # A checker silently dropping out of CHECKERS would make the
     # clean-tree test vacuous for its invariant.
     assert set(CHECKERS) == {"layering", "determinism", "recursion",
-                             "forksafety", "errors", "codecgen"}
+                             "forksafety", "errors"}
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +512,10 @@ def test_cli_lint_bad_inputs_exit_2(tmp_path, capsys):
                      str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "unknown checker" in err
+    # Codecs are no longer generated source, so there is nothing left
+    # for the former codec-source determinism checker to check.
+    assert cli_main(["lint", "--checks", "codecgen", str(tmp_path)]) == 2
+    assert "unknown checker(s) codecgen" in capsys.readouterr().err
 
 
 def test_cli_lint_checker_subset(tmp_path, capsys):

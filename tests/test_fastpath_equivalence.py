@@ -1,7 +1,7 @@
 """Fast-path equivalence: compiled programs vs. the reference walkers.
 
-The compiled document plane (:mod:`repro.engine.plan`), the generated
-codecs (:mod:`repro.engine.codegen`) over trees and over parser events,
+The compiled document plane (:mod:`repro.engine.plan`), the per-schema
+codecs (:mod:`repro.engine.codec`) over trees and over parser events,
 and the streaming entry points over that event driver
 (:mod:`repro.engine.stream`) must all be **byte-identical** to the
 reference implementations — same serialized trees, same ``idM``
@@ -21,7 +21,7 @@ from repro.core.instmap import InstMap, MappingResult
 from repro.core.inverse import run_invert
 from repro.core.translate import Translator
 from repro.dtd.generate import random_instance
-from repro.engine.codegen import compile_codec, generate_codec
+from repro.engine.codec import build_codec
 from repro.engine.compiled import CompiledEmbedding
 from repro.engine.plan import InverseProgram
 from repro.engine.stream import StreamStats, iter_mapped, stream_map_to_path
@@ -90,7 +90,7 @@ def _assert_equivalent(embedding, instance, queries) -> None:
     # Codec mode: the generated parse→map→serialize module produces the
     # same bytes from the tree and from text.  Every corpus shape here
     # is expected to specialise — a CodecError is a generator regression.
-    codec = generate_codec(instmap)
+    codec = build_codec(instmap)
     assert codec.map_tree(instance) == to_string(fast.tree)
     assert codec.map_text(text) == buffered
 
@@ -137,7 +137,7 @@ def test_stream_and_codec_parse_errors_match_reference(school, tmp_path):
     output behind."""
     instmap = InstMap(school.sigma1)
     compiled = CompiledEmbedding(school.sigma1)
-    codec = generate_codec(instmap)
+    codec = build_codec(instmap)
     prefix = ("<db><class><cno>1</cno><title>t</title>"
               "<type><project>p</project></type></class>")
     bad_documents = [
@@ -167,7 +167,7 @@ def test_stream_and_codec_mapping_errors_match_interpreter(school):
     the interpreter's exact error text from every execution mode."""
     instmap = InstMap(school.sigma1)
     compiled = CompiledEmbedding(school.sigma1)
-    codec = generate_codec(instmap)
+    codec = build_codec(instmap)
     bad_documents = [
         "<dbx/>",                                   # wrong root element
         "<db><klass><cno>1</cno></klass></db>",     # unknown source type
@@ -246,41 +246,6 @@ def test_stream_skips_empty_instances_and_nests_star_frames():
     assert stats.frames_streamed == 4  # the root and three groups
     assert stats.fragments_buffered == 0
     assert not stats.whole_document
-
-
-def test_codec_source_is_deterministic(school):
-    """Two independent generations of the same embedding's codec are
-    byte-identical (the store caches source by fingerprint, so a cache
-    hit must equal a fresh generation)."""
-    first = generate_codec(InstMap(school.sigma1))
-    second = generate_codec(InstMap(school.sigma1))
-    assert first.source == second.source
-
-
-def test_codec_sources_cached_before_the_event_driver_still_map(school):
-    """Codec sources already in artifact stores import ``_pause_gc``,
-    ``_resume_gc`` and ``parse_xml`` from the generator and define
-    their own ``map_tree``/``map_text``.  They must still compile, and
-    the driver must map through their handlers, never their own
-    entry points."""
-    instmap = InstMap(school.sigma1)
-    source = generate_codec(instmap).source
-    header_end = "    _pad,\n)\n"
-    assert header_end in source
-    cached = source.replace(
-        header_end,
-        "    _pad,\n    _pause_gc,\n    _resume_gc,\n    parse_xml,\n)\n", 1)
-    cached += ("\n\ndef map_tree(root):\n    raise AssertionError\n"
-               "\n\ndef map_text(text):\n    raise AssertionError\n")
-    codec = compile_codec(cached, instmap)
-    for xml in ("<db></db>",
-                "<db><class><cno>1</cno><title>t</title>"
-                "<type><project>p</project></type></class>"
-                "<class><cno>2</cno><title>u</title>"
-                "<type><regular><prereq/></regular></type></class></db>"):
-        expected = to_string(instmap.apply(parse_xml(xml)).tree)
-        assert codec.map_text(xml) == expected
-        assert codec.map_tree(parse_xml(xml)) == expected
 
 
 def test_partial_documents_fall_back_identically(school):
@@ -364,7 +329,7 @@ def test_partial_document_corpora_sparse_identical(name):
     instmap = InstMap(expansion.embedding)
     program = instmap._program
     assert program is not None
-    codec = generate_codec(instmap)
+    codec = build_codec(instmap)
     rng = random.Random(97)
     served_any = False
     for seed in range(6):

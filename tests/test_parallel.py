@@ -13,7 +13,9 @@ import pytest
 
 from repro.anfa.evaluate import evaluate_anfa_set
 from repro.dtd.generate import InstanceGenerator
+from repro.core.errors import EmbeddingError
 from repro.engine import (
+    CompiledEmbedding,
     CorpusDocument,
     CorpusError,
     Engine,
@@ -143,6 +145,28 @@ def test_map_corpus_isolates_bad_documents(school, sigma):
     # Failures carry the parse error, and never a bare ValueError repr.
     assert "XMLParseError" in failed["bad-name.xml"]
     assert sum(o.ok for o in outcomes) == 4
+
+
+def test_map_corpus_reports_the_text_surface_error(school, sigma):
+    """Batch map runs the text path ``repro map`` and ``/v1/map`` run,
+    so outputs and error texts equal ``CompiledEmbedding.map_text``'s —
+    also on a document with two mapping defects, where the codec's
+    depth-first walk meets the bad <title> before the unknown <klass>."""
+    two_defects = ("<db><class><cno>1</cno><title><x/></title>"
+                   "<type><project>p</project></type></class><klass/></db>")
+    corpus = _corpus(school, 2)
+    corpus.append(CorpusDocument("two-defects.xml", two_defects))
+    compiled = CompiledEmbedding(sigma)
+    with pytest.raises(EmbeddingError) as raised:
+        compiled.map_text(two_defects)
+    assert "<title> has P(title) = str" in str(raised.value)
+    for jobs in (1, 2):
+        outcomes = ParallelRunner(jobs=jobs, chunk_size=2).map_corpus(
+            sigma, iter(corpus))
+        assert [o.output for o in outcomes[:2]] == [
+            compiled.map_text(document.text) for document in corpus[:2]]
+        assert not outcomes[2].ok
+        assert outcomes[2].output == f"EmbeddingError: {raised.value}"
 
 
 def test_translate_queries_matches_serial(school, sigma):

@@ -275,60 +275,93 @@ def test_warm_start_grows_caches_to_fit_store(tmp_path):
     assert warm.schema_stats.evictions == 0
 
 
-# -- generated codecs ---------------------------------------------------------
+# -- codecs -------------------------------------------------------------------
 
 _CODEC_XML = ("<db><class><cno>1</cno><title>t</title>"
               "<type><project>p</project></type></class></db>")
 
+#: What a store's ``codecs/<fp>.py`` held when codecs were cached as
+#: generated source; the legacy files must never be run or rewritten.
+_LEGACY_SOURCE = "raise AssertionError('legacy codec source was run')\n"
 
-def test_save_store_persists_codec_and_warm_start_attaches(tmp_path,
-                                                           school):
+
+def _add_legacy_codec(path, fingerprint: str, school) -> dict:
+    """Give a store the ``codecs`` manifest section and ``codecs/<fp>.py``
+    file that stores saved while codecs were cached as source carry."""
+    manifest_path = path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["codecs"] = {fingerprint: {
+        "source": school.classes.fingerprint(),
+        "target": school.school.fingerprint(),
+        "provenance": "engine-save"}}
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True)
+                             + "\n")
+    (path / "codecs").mkdir()
+    (path / "codecs" / f"{fingerprint}.py").write_text(_LEGACY_SOURCE)
+    return manifest["codecs"]
+
+
+def test_legacy_codecs_section_is_ignored_and_never_rewritten(tmp_path,
+                                                              school):
+    """A store with a legacy ``codecs`` section warm-starts with the
+    codec built at load and maps byte-identically, accepts a new
+    embedding and repacks — and its ``codecs/`` files are never read,
+    rewritten or carried into the pack."""
+    from repro.engine.storepack import open_view, pack_store
+
     engine = Engine()
     compiled = engine.compile_embedding(school.sigma1, ensure_valid=True)
     expected = compiled.map_text(_CODEC_XML)
     fingerprint = compiled.fingerprint
-    store = engine.save_store(tmp_path / "store")
+    path = tmp_path / "store"
+    engine.save_store(path)
+    section = _add_legacy_codec(path, fingerprint, school)
+    legacy = path / "codecs" / f"{fingerprint}.py"
+    stamp = legacy.stat().st_mtime_ns
 
-    assert store.codec_fingerprints() == [fingerprint]
-    source = store.get_codec_source(fingerprint)
-    assert "# lint: codec-plane" in source
-    row, = store.describe()["codecs"]
-    assert row["embedding"] == fingerprint
-    assert row["source"] == school.classes.fingerprint()
-    assert row["target"] == school.school.fingerprint()
-    assert row["provenance"] == "engine-save"
-
-    warm = Engine.warm_start(tmp_path / "store")
+    warm = Engine.warm_start(path)
     again = warm.compile_embedding(school.sigma1)
-    # The codec was attached from stored source at warm start — the
-    # slot is already populated, no generation happened lazily.
-    assert again._codec not in (None, False)
+    assert again._codec not in (None, False)  # built at warm start
     assert again.map_text(_CODEC_XML) == expected
+    assert warm.embedding_stats.misses == 0
+
+    store = ArtifactStore(path, create=False)
+    assert "codecs" not in store.describe()
+    store.put_embedding(school.sigma2, validated=True)
+    pack_store(path)
+    with open_view(path) as view:
+        assert "codecs" not in view._index
+        assert school.sigma2.fingerprint() in view.embedding_fingerprints()
+        assert Engine.warm_start(view).map_text(
+            school.sigma1, _CODEC_XML) == expected
+
+    manifest = json.loads((path / "manifest.json").read_text())
+    assert manifest["codecs"] == section  # kept as found
+    assert school.sigma2.fingerprint() in manifest["embeddings"]
+    assert [p.name for p in (path / "codecs").iterdir()] == [legacy.name]
+    assert legacy.read_text() == _LEGACY_SOURCE
+    assert legacy.stat().st_mtime_ns == stamp
 
 
 def test_precodec_store_reads_cleanly_without_rewrite(tmp_path, school):
-    """A store written before the codec plane existed (no ``codecs``
-    manifest section, no ``codecs/`` directory) loads, inspects and
-    warm-starts — and reading it back must not rewrite its files."""
-    import shutil
-
+    """A store with no ``codecs`` manifest section and no ``codecs/``
+    directory (what ``save_store`` writes) loads, inspects and
+    warm-starts with the codec built — and reading it back must not
+    rewrite its files."""
     engine = Engine()
     engine.compile_embedding(school.sigma1, ensure_valid=True)
     path = tmp_path / "store"
     engine.save_store(path)
-    manifest = json.loads((path / "manifest.json").read_text())
-    manifest.pop("codecs")
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2,
-                                                   sort_keys=True))
-    shutil.rmtree(path / "codecs")
     before = (path / "manifest.json").read_text()
+    assert "codecs" not in json.loads(before)
+    assert not (path / "codecs").exists()
 
     store = ArtifactStore(path, create=False)
-    assert store.codec_fingerprints() == []
-    assert store.describe()["codecs"] == []
+    assert "codecs" not in store.describe()
     warm = Engine.warm_start(path)
     compiled = warm.compile_embedding(school.sigma1)
-    assert compiled._codec is None  # nothing attached from the store
-    assert compiled.codec is not None  # lazy generation still works
+    assert compiled._codec not in (None, False)  # built at warm start
+    assert compiled.map_text(_CODEC_XML) == engine.map_text(
+        school.sigma1, _CODEC_XML)
     assert (path / "manifest.json").read_text() == before
     assert not (path / "codecs").exists()

@@ -190,50 +190,85 @@ def test_missing_pack_file_raises_pack_error(tmp_path):
         StoreView(tmp_path / "nope.bin")
 
 
-# -- generated codecs ---------------------------------------------------------
+# -- codecs -------------------------------------------------------------------
 
-def test_pack_carries_codecs_and_fleet_serves_them(packed_store, school):
-    store = ArtifactStore(packed_store, create=False)
+_CODEC_XML = ("<db><class><cno>1</cno><title>t</title>"
+              "<type><project>p</project></type></class></db>")
+
+
+def _add_legacy_codecs_index(pack_path, fingerprint: str) -> None:
+    """Rewrite a pack as packs were written while codecs were cached as
+    generated source: a ``codecs`` index section naming one source
+    blob, appended after the artifact blobs."""
+    import pickle
+
+    from repro.engine.storepack import _HEADER, MAGIC
+
+    raw = pack_path.read_bytes()
+    header_end = len(MAGIC) + _HEADER.size
+    generation, index_len = _HEADER.unpack(raw[len(MAGIC):header_end])
+    index = pickle.loads(raw[header_end:header_end + index_len])
+    blobs = raw[header_end + index_len:]
+    source = pickle.dumps("raise AssertionError('legacy codec source')\n",
+                          protocol=4)
+    index["codecs"] = {fingerprint: {
+        "offset": len(blobs), "length": len(source), "source": "",
+        "target": "", "provenance": "engine-save"}}
+    index_raw = pickle.dumps(index, protocol=4)
+    pack_path.write_bytes(MAGIC + _HEADER.pack(generation, len(index_raw))
+                          + index_raw + blobs + source)
+
+
+def test_legacy_pack_codecs_index_is_ignored(packed_store, school):
+    """A pack with a legacy ``codecs`` index opens, warm-starts (daemon
+    and fleet reload) with the codec built at load and maps
+    byte-identically; a repack drops the index instead of carrying it."""
+    from repro.core.instmap import InstMap
+
     fingerprint = school.sigma1.fingerprint()
-    assert store.codec_fingerprints() == [fingerprint]
+    _add_legacy_codecs_index(current_pack_path(packed_store), fingerprint)
+    expected = to_string(
+        InstMap(school.sigma1).apply(parse_xml(_CODEC_XML)).tree)
     with open_view(packed_store) as view:
-        assert view.codec_fingerprints() == [fingerprint]
-        assert view.get_codec_source(fingerprint) == \
-            store.get_codec_source(fingerprint)
-        assert view.stats()["codecs"] == 1
+        assert "codecs" in view._index
         warm = Engine.warm_start(view)
         compiled = warm.compile_embedding(view.get_embedding(fingerprint))
-        assert compiled._codec not in (None, False)  # attached from pack
-        xml = ("<db><class><cno>1</cno><title>t</title>"
-               "<type><project>p</project></type></class></db>")
-        from repro.core.instmap import InstMap
-        assert compiled.map_text(xml) == to_string(
-            InstMap(school.sigma1).apply(parse_xml(xml)).tree)
+        assert compiled._codec not in (None, False)  # built at warm start
+        assert compiled.map_text(_CODEC_XML) == expected
         assert view.json_parses == 0
+        assert view.stale_fingerprints() == frozenset()
+
+    state = ServiceState(Engine(), {}, {})
+    view = open_view(packed_store)
+    assert state.reload_from(view) == (len(view.schema_fingerprints())
+                                       + len(view.embedding_fingerprints()))
+    compiled = state.engine.compile_embedding(school.sigma1)
+    assert compiled._codec not in (None, False)
+    assert compiled.map_text(_CODEC_XML) == expected
+    state.view.close()
+
+    pack_store(packed_store)
+    with open_view(packed_store) as view:
+        assert "codecs" not in view._index
+        assert view.stale_fingerprints() == frozenset()
+        assert Engine.warm_start(view).map_text(
+            school.sigma1, _CODEC_XML) == expected
 
 
 def test_precodec_pack_reads_with_empty_codec_section(tmp_path, school):
-    """A pack written before the codec plane existed (no ``codecs``
-    index section) opens and serves with an empty codec table."""
-    import json as json_mod
-    import shutil
-
+    """A pack with no ``codecs`` index section (what ``pack_store``
+    writes) opens and serves with the codec built at warm start."""
     engine = Engine()
     engine.compile_embedding(school.sigma1, ensure_valid=True)
     path = tmp_path / "store"
     engine.save_store(path)
-    manifest_path = path / "manifest.json"
-    manifest = json_mod.loads(manifest_path.read_text())
-    manifest.pop("codecs")
-    manifest_path.write_text(json_mod.dumps(manifest, indent=2,
-                                            sort_keys=True))
-    shutil.rmtree(path / "codecs")
     pack_store(path)
     with open_view(path) as view:
-        assert view.codec_fingerprints() == []
-        assert view.stats()["codecs"] == 0
+        assert "codecs" not in view._index
+        assert "codecs" not in view.stats()
         warm = Engine.warm_start(view)
-        assert warm.compile_embedding(school.sigma1).codec is not None
+        assert warm.compile_embedding(school.sigma1)._codec not in (None,
+                                                                   False)
 
 
 # -- generation carry-forward and compaction ----------------------------------
@@ -246,7 +281,6 @@ def _drop_embedding_from_store(store_root, fingerprint: str) -> None:
     manifest_path = store_root / "manifest.json"
     manifest = json_mod.loads(manifest_path.read_text())
     del manifest["embeddings"][fingerprint]
-    manifest.get("codecs", {}).pop(fingerprint, None)
     manifest_path.write_text(json_mod.dumps(manifest, indent=2,
                                             sort_keys=True))
 
