@@ -10,7 +10,8 @@ never exists in memory), streams it through the school σ1 mapping into
 a byte-counting sink, and asserts the process RSS high-water delta
 stays a small fraction of the document size.  Byte-identity against
 the interpreter's buffered path is checked at a size where buffering
-is cheap.
+is cheap, streaming the document both as a string and from a file that
+spans several reads.
 """
 
 from __future__ import annotations
@@ -24,13 +25,16 @@ import pytest
 from repro.engine.compiled import CompiledEmbedding
 from repro.engine.stream import StreamStats, iter_mapped
 from repro.workloads.library import school_example
-from repro.xtree.parser import parse_xml
+from repro.xtree.parser import _READ_CHARS, parse_xml
 from repro.xtree.serialize import to_string
 
 #: One source fragment of the school classes schema (~120 bytes); the
 #: big document is ``<db>`` + N of these + ``</db>``, written in chunks.
 _FRAGMENT = ("<class><cno>CS{index}</cno><title>Course {index}</title>"
              "<type><project>term project {index}</project></type></class>")
+#: Enough fragments that the identity document spans four reads of the
+#: file scanner, so its output is compared across read seams.
+_IDENTITY_FRAGMENTS = 4 * _READ_CHARS // len(_FRAGMENT) + 1
 
 
 def _write_document(path: str, target_bytes: int) -> int:
@@ -65,15 +69,20 @@ def _stream_document(compiled: CompiledEmbedding,
 
 
 def _identity_check(compiled: CompiledEmbedding, n_fragments: int) -> bool:
-    """Streamed output == buffered output, at bufferable scale."""
+    """Streamed output == buffered output, at bufferable scale, with the
+    document streamed both as a string and from a file."""
     text = ("<db>" + "".join(_FRAGMENT.format(index=i)
                              for i in range(n_fragments)) + "</db>")
-    streamed = "".join(iter_mapped(compiled, text=text))
     buffered = to_string(compiled.apply(parse_xml(text)).tree)
-    return streamed == buffered
+    with tempfile.TemporaryDirectory(prefix="repro-bench-ident-") as tmp:
+        path = os.path.join(tmp, "doc.xml")
+        with open(path, "w") as handle:
+            handle.write(text)
+        from_file = "".join(iter_mapped(compiled, path=path))
+    return "".join(iter_mapped(compiled, text=text)) == buffered == from_file
 
 
-@pytest.mark.parametrize("n_fragments", [1, 37])
+@pytest.mark.parametrize("n_fragments", [1, 37, _IDENTITY_FRAGMENTS])
 def test_stream_matches_buffered(n_fragments):
     compiled = CompiledEmbedding(school_example().sigma1)
     assert _identity_check(compiled, n_fragments)
@@ -88,14 +97,15 @@ def main() -> int:
     target_bytes = 200_000 if args.smoke else 50_000_000
 
     compiled = CompiledEmbedding(school_example().sigma1)
-    identical = _identity_check(compiled, 400)
-
     with tempfile.TemporaryDirectory(prefix="repro-bench-stream-") as tmp:
         doc_path = os.path.join(tmp, "big.xml")
         doc_bytes = _write_document(doc_path, target_bytes)
         rss_before_kb = _rss_peak_kb()
         stats, wall = _stream_document(compiled, doc_path)
         rss_after_kb = _rss_peak_kb()
+    # After the RSS probe: the buffered reference tree must not raise
+    # the high-water mark the streamer is measured against.
+    identical = _identity_check(compiled, _IDENTITY_FRAGMENTS)
 
     delta_kb = rss_after_kb - rss_before_kb
     # The constant-memory gate: the streamer may grow the high-water

@@ -10,8 +10,17 @@ Hand-rolled rather than ``xml.etree`` so that node ids are assigned at
 parse time and whitespace handling matches the paper's element-only
 content models (whitespace-only text between elements is dropped).
 
+There is one scanner, :class:`_Scanner`, over one resident string: the
+whole document for :func:`iter_events`, a window of the file that
+refills at its end for :func:`iter_events_path`.  Line endings are
+normalised to ``\\n`` on both inputs (XML 1.0 §2.11), so a string and a
+file holding the same document give the same events and errors.
+
 There is one scanner loop, :func:`_element_events`, which yields
-SAX-style events.  :func:`parse_xml` is :func:`build_tree` over
+SAX-style events.  Text runs end at ``str.find("<")``; a plain start or
+end tag is one compiled-pattern match or ``startswith``; attributes,
+doctypes and malformed markup take the step-by-step helpers, which word
+every error.  :func:`parse_xml` is :func:`build_tree` over
 :func:`iter_events`, and the codecs' event driver
 (:mod:`repro.engine.codec`) maps text from the same events, so every
 mode lexes, groups text and reports errors identically.
@@ -19,206 +28,143 @@ mode lexes, groups text and reports errors identically.
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from repro.xtree.nodes import ElementNode, TextNode
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
 
+#: Characters :func:`iter_events_path` reads per refill of its window.
+_READ_CHARS = 1 << 13
+
+# The name alphabet matches the DTD parser's _NAME_RE ([A-Za-z_][\w.-]*):
+# a digit/'-'/'.'-leading tag could never be declared by any schema, so
+# the document parser rejects it too.  ``\w`` is exactly ``isalnum()``
+# plus ``_``.  The first character is tested with ``isalpha()``, since
+# ``[^\W\d]`` would also admit non-decimal numerics such as ``²``.
+_NAME_REST = re.compile(r"[\w.:-]*")
+_SPACE = re.compile(r"\s*")
+#: An attribute-free ``<name>`` or ``<name/>`` with an ASCII first
+#: character; every other start tag takes :func:`_open_tag`.
+_PLAIN_TAG = re.compile(r"<([A-Za-z_][\w.:-]*)(/?)>")
+_DOCTYPE_MARK = re.compile(r"[\[\]>]")
+
 
 class XMLParseError(ValueError):
     """Raised on malformed input, with position information.
 
-    ``source`` only needs ``count``/``rfind`` for the line/column
-    arithmetic, so the sliding-window buffer of the streaming scanner
-    (:class:`_TextWindow`) reports identical positions to a full
-    in-memory parse of the same document.
+    ``pos`` is the absolute character offset into the document (after
+    line-ending normalisation); the message ends with its line and
+    column.
     """
 
-    def __init__(self, message: str, pos: int, source) -> None:
-        line = source.count("\n", 0, pos) + 1
-        col = pos - source.rfind("\n", 0, pos)
-        super().__init__(f"{message} at line {line}, column {col}")
+    def __init__(self, message: str, pos: int, line: int,
+                 column: int) -> None:
+        super().__init__(f"{message} at line {line}, column {column}")
         self.pos = pos
 
 
 class _Scanner:
-    """Cursor over the source string with primitive lexing helpers."""
+    """A cursor over one resident string.
 
-    def __init__(self, source: str) -> None:
-        self.source = source
+    ``buf[pos:]`` is the unread input.  For a string, ``buf`` is the
+    whole document.  For a file it is a window: :meth:`more` drops the
+    consumed prefix before ``pos`` and appends one read.  ``base`` is
+    the absolute offset of ``buf[0]`` and the dropped newlines are
+    counted, so error lines and columns are those of the whole
+    document.  The helpers read on at the window's end, so no construct
+    is misjudged at a read seam.
+    """
+
+    __slots__ = ("buf", "pos", "base", "handle", "lines", "last_nl")
+
+    def __init__(self, text: str, handle=None) -> None:
+        self.buf = text
         self.pos = 0
+        self.base = 0
+        self.handle = handle
+        self.lines = 0      # newlines dropped from the window
+        self.last_nl = -1   # absolute offset of the last one
 
-    def eof(self) -> bool:
-        return self.pos >= len(self.source)
+    def more(self) -> bool:
+        """Append one read to the window; False at end of input."""
+        if self.handle is None:
+            return False
+        chunk = self.handle.read(_READ_CHARS)
+        if not chunk:
+            self.handle = None
+            return False
+        buf, pos = self.buf, self.pos
+        newlines = buf.count("\n", 0, pos)
+        if newlines:
+            self.lines += newlines
+            self.last_nl = self.base + buf.rfind("\n", 0, pos)
+        self.base += pos
+        self.pos = 0
+        self.buf = buf[pos:] + chunk
+        return True
 
-    def peek(self, width: int = 1) -> str:
-        return self.source[self.pos:self.pos + width]
+    def need(self, width: int) -> None:
+        """Make ``width`` characters after ``pos`` resident (or all that
+        is left of the input)."""
+        while len(self.buf) - self.pos < width and self.more():
+            pass
 
-    def advance(self, width: int = 1) -> str:
-        chunk = self.source[self.pos:self.pos + width]
-        self.pos += width
-        return chunk
+    def find(self, needle: str) -> int:
+        """Index in ``buf`` of ``needle`` at or after ``pos``; -1 if the
+        input ends first."""
+        at = self.buf.find(needle, self.pos)
+        while at < 0:
+            seen = max(0, len(self.buf) - self.pos - len(needle) + 1)
+            if not self.more():
+                return -1
+            at = self.buf.find(needle, self.pos + seen)
+        return at
+
+    def error(self, message: str) -> XMLParseError:
+        buf, pos = self.buf, self.pos
+        newline = buf.rfind("\n", 0, pos)
+        column = (pos - newline if newline >= 0
+                  else self.base + pos - self.last_nl)
+        return XMLParseError(message, self.base + pos,
+                             self.lines + buf.count("\n", 0, pos) + 1,
+                             column)
+
+    def startswith(self, literal: str) -> bool:
+        self.need(len(literal))
+        return self.buf.startswith(literal, self.pos)
 
     def skip_ws(self) -> None:
-        while not self.eof() and self.source[self.pos].isspace():
-            self.pos += 1
+        while True:
+            self.pos = _SPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or not self.more():
+                return
 
     def expect(self, literal: str) -> None:
-        if not self.source.startswith(literal, self.pos):
-            raise XMLParseError(f"expected {literal!r}", self.pos, self.source)
+        if not self.startswith(literal):
+            raise self.error(f"expected {literal!r}")
         self.pos += len(literal)
 
     def read_until(self, literal: str) -> str:
-        end = self.source.find(literal, self.pos)
+        end = self.find(literal)
         if end < 0:
-            raise XMLParseError(f"unterminated construct, missing {literal!r}",
-                                self.pos, self.source)
-        chunk = self.source[self.pos:end]
+            raise self.error(f"unterminated construct, missing {literal!r}")
+        chunk = self.buf[self.pos:end]
         self.pos = end + len(literal)
         return chunk
 
     def read_name(self) -> str:
-        # The name alphabet matches the DTD parser's _NAME_RE
-        # ([A-Za-z_][\w.-]*): a digit/'-'/'.'-leading tag could never be
-        # declared by any schema, so the document parser rejects it too.
-        start = self.pos
-        first = self.peek()
+        self.need(1)
+        first = self.buf[self.pos:self.pos + 1]
         if not (first.isalpha() or first == "_"):
-            raise XMLParseError("expected a name", self.pos, self.source)
-        while (not self.eof()
-               and (self.source[self.pos].isalnum()
-                    or self.source[self.pos] in "_-.:")):
-            self.pos += 1
-        return self.source[start:self.pos]
-
-    def read_text_run(self) -> str:
-        """Consume character data up to (not including) the next ``<``
-        — or to end of input, leaving the unterminated-element check to
-        the caller's ``eof()`` test."""
-        end = self.source.find("<", self.pos)
-        if end < 0:
-            end = len(self.source)
-        chunk = self.source[self.pos:end]
+            raise self.error("expected a name")
+        end = _NAME_REST.match(self.buf, self.pos + 1).end()
+        while end == len(self.buf) and self.more():
+            end = _NAME_REST.match(self.buf, self.pos + 1).end()
+        name = self.buf[self.pos:end]
         self.pos = end
-        return chunk
-
-    def discard(self) -> None:
-        """Hint that everything before ``pos`` is consumed (no-op for
-        the in-memory scanner; the streaming scanner drops the prefix)."""
-
-
-class _TextWindow:
-    """A sliding, str-like window over an incrementally read text file.
-
-    Exposes exactly the string surface :class:`_Scanner` lexes against
-    (indexing, slicing, ``find``, ``startswith``, and the newline
-    ``count``/``rfind`` used for error positions), all in *absolute*
-    document coordinates, while keeping only a bounded suffix of the
-    document resident.  Newlines in the dropped prefix are counted so
-    :class:`XMLParseError` line/column numbers match an in-memory parse
-    byte for byte.
-    """
-
-    __slots__ = ("_handle", "_chunk", "_buf", "_base", "_eof",
-                 "_nl_dropped", "_last_dropped_nl")
-
-    def __init__(self, handle, chunk_chars: int = 1 << 16) -> None:
-        self._handle = handle
-        self._chunk = max(1024, int(chunk_chars))
-        self._buf = ""
-        self._base = 0
-        self._eof = False
-        self._nl_dropped = 0
-        self._last_dropped_nl = -1
-
-    def _fill(self, target: int) -> None:
-        while not self._eof and self._base + len(self._buf) < target:
-            chunk = self._handle.read(self._chunk)
-            if not chunk:
-                self._eof = True
-                break
-            self._buf += chunk
-
-    def has(self, index: int) -> bool:
-        self._fill(index + 1)
-        return index < self._base + len(self._buf)
-
-    def drop(self, upto: int) -> None:
-        """Release the window prefix before ``upto`` (batched so the
-        slice cost stays amortised-linear)."""
-        cut = upto - self._base
-        if cut < 4096:
-            return
-        dropped = self._buf[:cut]
-        newlines = dropped.count("\n")
-        if newlines:
-            self._nl_dropped += newlines
-            self._last_dropped_nl = self._base + dropped.rfind("\n")
-        self._base = upto
-        self._buf = self._buf[cut:]
-
-    # -- the str surface the scanner uses (absolute coordinates) ----------
-    def __len__(self) -> int:
-        # Only exact once the file is exhausted; the scanner reaches
-        # here solely through EOF paths (read_text_run after a failed
-        # find), which is after ``_eof`` is set.
-        return self._base + len(self._buf)
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            stop = key.stop if key.stop is not None else (key.start or 0) + 1
-            self._fill(stop)
-            return self._buf[(key.start or 0) - self._base:
-                             stop - self._base]
-        self._fill(key + 1)
-        return self._buf[key - self._base]
-
-    def startswith(self, literal: str, start: int) -> bool:
-        self._fill(start + len(literal))
-        return self._buf.startswith(literal, start - self._base)
-
-    def find(self, needle: str, start: int) -> int:
-        search_from = start
-        while True:
-            rel = self._buf.find(needle, search_from - self._base)
-            if rel >= 0:
-                return self._base + rel
-            if self._eof:
-                return -1
-            end = self._base + len(self._buf)
-            # Re-scan only the seam where a needle could span chunks.
-            search_from = max(start, end - len(needle) + 1)
-            self._fill(end + self._chunk)
-
-    def count(self, needle: str, start: int, stop: int) -> int:
-        # Only used for "\n" counting in error positions; the dropped
-        # prefix is always entirely before ``stop``.
-        dropped = self._nl_dropped if needle == "\n" else 0
-        return dropped + self._buf.count(needle, max(0, start - self._base),
-                                         stop - self._base)
-
-    def rfind(self, needle: str, start: int, stop: int) -> int:
-        rel = self._buf.rfind(needle, max(0, start - self._base),
-                              stop - self._base)
-        if rel >= 0:
-            return self._base + rel
-        return self._last_dropped_nl if needle == "\n" else -1
-
-
-class _StreamScanner(_Scanner):
-    """A scanner over a file handle: same lexing, same error messages,
-    but only a bounded window of the document is ever resident."""
-
-    def __init__(self, handle, chunk_chars: int = 1 << 16) -> None:
-        self.source = _TextWindow(handle, chunk_chars)  # type: ignore[assignment]
-        self.pos = 0
-
-    def eof(self) -> bool:
-        return not self.source.has(self.pos)
-
-    def discard(self) -> None:
-        self.source.drop(self.pos)
+        return name
 
 
 def _decode_charref(name: str, scanner: _Scanner) -> str:
@@ -229,46 +175,42 @@ def _decode_charref(name: str, scanner: _Scanner) -> str:
     try:
         code = int(digits, base)
     except ValueError:
-        raise XMLParseError(f"malformed character reference &{name};",
-                            scanner.pos, scanner.source) from None
+        raise scanner.error(
+            f"malformed character reference &{name};") from None
     if not 0 <= code <= 0x10FFFF:
-        raise XMLParseError(
-            f"character reference &{name}; is outside the Unicode range",
-            scanner.pos, scanner.source)
+        raise scanner.error(
+            f"character reference &{name}; is outside the Unicode range")
     if 0xD800 <= code <= 0xDFFF:
         # XML's Char production excludes surrogates; chr() would accept
         # them but the resulting string cannot be UTF-8 encoded, so a
         # write of the mapped output would crash far from the parse.
-        raise XMLParseError(
-            f"character reference &{name}; is a surrogate code point",
-            scanner.pos, scanner.source)
+        raise scanner.error(
+            f"character reference &{name}; is a surrogate code point")
     return chr(code)
 
 
 def _decode_entities(raw: str, scanner: _Scanner) -> str:
-    if "&" not in raw:
+    amp = raw.find("&")
+    if amp < 0:
         return raw
     out: list[str] = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch != "&":
-            out.append(ch)
-            i += 1
-            continue
-        end = raw.find(";", i)
+    done = 0
+    while amp >= 0:
+        end = raw.find(";", amp)
         if end < 0:
-            raise XMLParseError("unterminated entity reference",
-                                scanner.pos, scanner.source)
-        name = raw[i + 1:end]
+            raise scanner.error("unterminated entity reference")
+        name = raw[amp + 1:end]
         if name.startswith("#"):
-            out.append(_decode_charref(name, scanner))
+            entity = _decode_charref(name, scanner)
         elif name in _ENTITIES:
-            out.append(_ENTITIES[name])
+            entity = _ENTITIES[name]
         else:
-            raise XMLParseError(f"unknown entity &{name};",
-                                scanner.pos, scanner.source)
-        i = end + 1
+            raise scanner.error(f"unknown entity &{name};")
+        out.append(raw[done:amp])
+        out.append(entity)
+        done = end + 1
+        amp = raw.find("&", done)
+    out.append(raw[done:])
     return "".join(out)
 
 
@@ -276,24 +218,37 @@ def _skip_misc(scanner: _Scanner) -> None:
     """Skip comments, PIs, doctype declarations and whitespace."""
     while True:
         scanner.skip_ws()
-        if scanner.peek(4) == "<!--":
-            scanner.advance(4)
+        scanner.need(9)
+        if scanner.startswith("<!--"):
+            scanner.pos += 4
             scanner.read_until("-->")
-        elif scanner.peek(2) == "<?":
-            scanner.advance(2)
+        elif scanner.startswith("<?"):
+            scanner.pos += 2
             scanner.read_until("?>")
-        elif scanner.peek(2) == "<!" and scanner.peek(9).upper() == "<!DOCTYPE":
-            # Skip a doctype, tracking bracket nesting for internal subsets.
-            depth = 0
-            while not scanner.eof():
-                ch = scanner.advance()
-                if ch == "[":
-                    depth += 1
-                elif ch == "]":
-                    depth -= 1
-                elif ch == ">" and depth <= 0:
-                    break
+        elif scanner.buf[scanner.pos:scanner.pos + 9].upper() == "<!DOCTYPE":
+            _skip_doctype(scanner)
         else:
+            return
+
+
+def _skip_doctype(scanner: _Scanner) -> None:
+    """Skip a doctype, tracking bracket nesting for internal subsets;
+    an unterminated one runs to the end of input."""
+    depth = 0
+    while True:
+        mark = _DOCTYPE_MARK.search(scanner.buf, scanner.pos)
+        if mark is None:
+            scanner.pos = len(scanner.buf)
+            if not scanner.more():
+                return
+            continue
+        scanner.pos = mark.end()
+        char = mark.group()
+        if char == "[":
+            depth += 1
+        elif char == "]":
+            depth -= 1
+        elif depth <= 0:
             return
 
 
@@ -301,50 +256,46 @@ def _parse_attributes(scanner: _Scanner, allow: bool) -> None:
     """Consume attributes inside a start tag (ignored or rejected)."""
     while True:
         scanner.skip_ws()
-        ch = scanner.peek()
-        if ch in (">", "/", ""):
+        if scanner.pos == len(scanner.buf) \
+                or scanner.buf[scanner.pos] in ">/":
             return
         name = scanner.read_name()
         scanner.skip_ws()
         scanner.expect("=")
         scanner.skip_ws()
-        quote = scanner.advance()
+        scanner.need(1)
+        quote = scanner.buf[scanner.pos:scanner.pos + 1]
+        scanner.pos += 1
         if quote not in ("'", '"'):
-            raise XMLParseError("expected quoted attribute value",
-                                scanner.pos, scanner.source)
+            raise scanner.error("expected quoted attribute value")
         scanner.read_until(quote)
         if not allow:
-            raise XMLParseError(
+            raise scanner.error(
                 f"attribute {name!r} not supported by the paper's data model "
-                "(pass allow_attributes=True to ignore attributes)",
-                scanner.pos, scanner.source)
+                "(pass allow_attributes=True to ignore attributes)")
 
 
-def _flush_value(buffer: list[tuple[str, bool]], scanner: _Scanner,
-                 keep_whitespace: bool) -> Optional[str]:
+def _text_value(texts: list[tuple[str, bool]], scanner: _Scanner,
+                keep_whitespace: bool) -> Optional[str]:
     """Decode the buffered text run into its final value, or ``None``.
 
-    Text segments are (content, is_cdata) — CDATA bypasses entity
-    decoding; contiguous segments are grouped so entity references
-    spanning several character chunks decode as one run.
+    Segments are (content, is_cdata): CDATA bypasses entity decoding,
+    and every other segment is a whole character run (two runs are
+    always split by CDATA), so no entity reference spans segments.
     """
-    if not buffer:
-        return None
-    groups: list[tuple[str, bool]] = []
-    for chunk, is_cdata in buffer:
-        if groups and groups[-1][1] == is_cdata:
-            groups[-1] = (groups[-1][0] + chunk, is_cdata)
+    has_cdata = False
+    parts = []
+    for chunk, is_cdata in texts:
+        if is_cdata:
+            has_cdata = True
+            parts.append(chunk)
         else:
-            groups.append((chunk, is_cdata))
-    decoded = "".join(
-        chunk if is_cdata else _decode_entities(chunk, scanner)
-        for chunk, is_cdata in groups)
-    has_cdata = any(is_cdata for _chunk, is_cdata in buffer)
-    buffer.clear()
-    if decoded and (keep_whitespace or has_cdata or decoded.strip()):
-        return (decoded if keep_whitespace or has_cdata
-                else decoded.strip())
-    return None
+            parts.append(_decode_entities(chunk, scanner))
+    texts.clear()
+    value = "".join(parts)
+    if not (keep_whitespace or has_cdata):
+        value = value.strip()
+    return value or None
 
 
 def _open_tag(scanner: _Scanner, allow_attributes: bool) -> tuple[str, bool]:
@@ -352,8 +303,8 @@ def _open_tag(scanner: _Scanner, allow_attributes: bool) -> tuple[str, bool]:
     scanner.expect("<")
     tag = scanner.read_name()
     _parse_attributes(scanner, allow_attributes)
-    if scanner.peek(2) == "/>":
-        scanner.advance(2)
+    if scanner.startswith("/>"):
+        scanner.pos += 2
         return tag, True
     scanner.expect(">")
     return tag, False
@@ -382,38 +333,60 @@ def _element_events(scanner: _Scanner, allow_attributes: bool,
     # innermost open element.  CDATA and character runs accumulate in it
     # and decode as one text value.
     stack: list[str] = [tag]
-    buffer: list[tuple[str, bool]] = []
+    closers: list[str] = [f"</{tag}>"]
+    texts: list[tuple[str, bool]] = []
     while stack:
-        if scanner.eof():
-            raise XMLParseError(f"unterminated element <{stack[-1]}>",
-                                scanner.pos, scanner.source)
-        if scanner.peek() != "<":
-            buffer.append((scanner.read_text_run(), False))
-            continue
-        if scanner.peek(9) == "<![CDATA[":
-            scanner.advance(9)
-            buffer.append((scanner.read_until("]]>"), True))
+        at = scanner.find("<")
+        buf, pos = scanner.buf, scanner.pos
+        if at != pos:
+            if at < 0:
+                scanner.pos = len(buf)
+                raise scanner.error(f"unterminated element <{stack[-1]}>")
+            texts.append((buf[pos:at], False))
+            scanner.pos = pos = at
+        # Read on to the markup's '>': no prefix tested below contains
+        # one, so each test is exact even at a window seam.
+        if buf.find(">", pos) < 0:
+            scanner.find(">")
+            buf, pos = scanner.buf, scanner.pos
+        if buf.startswith("<![CDATA[", pos):
+            scanner.pos = pos + 9
+            texts.append((scanner.read_until("]]>"), True))
             continue
         # Every other markup ends the current text run.
-        value = _flush_value(buffer, scanner, keep_whitespace)
-        if value is not None:
-            yield ("text", value)
-        if scanner.peek(2) == "</":
-            scanner.advance(2)
+        if texts:
+            value = _text_value(texts, scanner, keep_whitespace)
+            if value is not None:
+                yield ("text", value)
+        if buf.startswith(closers[-1], pos):
+            scanner.pos = pos + len(closers.pop())
+            yield ("end", stack.pop())
+            continue
+        plain = _PLAIN_TAG.match(buf, pos)
+        if plain is not None:
+            scanner.pos = plain.end()
+            tag = plain.group(1)
+            yield ("start", tag)
+            if plain.group(2):
+                yield ("end", tag)
+            else:
+                stack.append(tag)
+                closers.append(f"</{tag}>")
+        elif buf.startswith("</", pos):
+            scanner.pos = pos + 2
             close = scanner.read_name()
             if close != stack[-1]:
-                raise XMLParseError(
-                    f"mismatched end tag </{close}>, expected "
-                    f"</{stack[-1]}>", scanner.pos, scanner.source)
+                raise scanner.error(f"mismatched end tag </{close}>, "
+                                    f"expected </{stack[-1]}>")
             scanner.skip_ws()
             scanner.expect(">")
+            closers.pop()
             yield ("end", stack.pop())
-            scanner.discard()
-        elif scanner.peek(4) == "<!--":
-            scanner.advance(4)
+        elif buf.startswith("<!--", pos):
+            scanner.pos = pos + 4
             scanner.read_until("-->")
-        elif scanner.peek(2) == "<?":
-            scanner.advance(2)
+        elif buf.startswith("<?", pos):
+            scanner.pos = pos + 2
             scanner.read_until("?>")
         else:
             tag, closed = _open_tag(scanner, allow_attributes)
@@ -422,46 +395,48 @@ def _element_events(scanner: _Scanner, allow_attributes: bool,
                 yield ("end", tag)
             else:
                 stack.append(tag)
+                closers.append(f"</{tag}>")
 
 
 def _document_events(scanner: _Scanner, allow_attributes: bool,
                      keep_whitespace: bool):
     _skip_misc(scanner)
-    if scanner.eof() or scanner.peek() != "<":
-        raise XMLParseError("expected a root element", scanner.pos,
-                            scanner.source)
+    if not scanner.startswith("<"):
+        raise scanner.error("expected a root element")
     yield from _element_events(scanner, allow_attributes, keep_whitespace)
     _skip_misc(scanner)
-    if not scanner.eof():
-        raise XMLParseError("trailing content after the root element",
-                            scanner.pos, scanner.source)
+    if scanner.pos < len(scanner.buf):
+        raise scanner.error("trailing content after the root element")
 
 
 def iter_events(source: str, allow_attributes: bool = False,
                 keep_whitespace: bool = False):
     """Stream a document string as SAX-style events.
 
+    ``\\r\\n`` and a lone ``\\r`` read as ``\\n``, as they do from a file.
+
     >>> list(iter_events("<a><b>x</b></a>"))
     [('start', 'a'), ('start', 'b'), ('text', 'x'), ('end', 'b'), ('end', 'a')]
     """
+    if "\r" in source:
+        source = source.replace("\r\n", "\n").replace("\r", "\n")
     return _document_events(_Scanner(source), allow_attributes,
                             keep_whitespace)
 
 
 def iter_events_path(path, allow_attributes: bool = False,
-                     keep_whitespace: bool = False,
-                     chunk_chars: int = 1 << 16):
+                     keep_whitespace: bool = False):
     """Stream a document *file* as events, reading it incrementally.
 
-    Only a bounded window of the file is resident (the consumed prefix
-    is dropped as end-tag events are emitted), so arbitrarily large
-    documents parse in memory bounded by their largest text run plus
-    the window chunk size.  Errors carry the same message/line/column
-    as an in-memory parse of the same file.
+    Only a window of the file is resident (the consumed prefix is
+    dropped at each read), so arbitrarily large documents parse in
+    memory bounded by their largest text run or markup plus one read.
+    Events and errors (message, line, column) equal those of
+    :func:`iter_events` on the file's text.
     """
     def _generate():
         with open(path, "r") as handle:
-            scanner = _StreamScanner(handle, chunk_chars)
+            scanner = _Scanner("", handle)
             yield from _document_events(scanner, allow_attributes,
                                         keep_whitespace)
     return _generate()

@@ -9,10 +9,12 @@ import pytest
 
 from repro.cli import embedding_from_json, embedding_to_json, main
 from repro.core.instmap import InstMap
+from repro.engine.compiled import CompiledEmbedding
+from repro.serve import ServiceState, dispatch
 from repro.workloads.library import school_example
 from repro.dtd.serialize import dtd_to_text
 from repro.xtree.nodes import tree_equal
-from repro.xtree.parser import parse_xml
+from repro.xtree.parser import XMLParseError, parse_xml
 from repro.xtree.serialize import to_string
 
 
@@ -93,6 +95,49 @@ def test_cli_map_buffered_and_streamed_bytes_identical(files, school,
     assert buffered == to_string(reference.tree) + "\n"
     assert streamed.out == buffered
     assert out_path.read_text() == buffered
+
+
+def test_crlf_document_maps_to_the_same_bytes_on_every_surface(
+        files, school, capsys):
+    """A CR/CRLF document maps to the same bytes from a string
+    (``map_text``, ``/v1/map``) as from a file (``repro map``, with and
+    without ``--stream``), and a malformed one fails at the same line
+    and column: string input normalises line endings as files do."""
+    tmp_path, source_path, target_path, _ = files
+    embedding_path = tmp_path / "sigma1.json"
+    embedding_path.write_text(embedding_to_json(school.sigma1))
+    doc_path = tmp_path / "crlf.xml"
+    compiled = CompiledEmbedding(school.sigma1)
+    state = ServiceState.from_embedding(school.sigma1)
+    good = ("<db>\r\n<class><cno>CS\r\n331</cno><title>DB\rX</title>"
+            "<type><project>p\r\n</project></type></class>\r\n</db>\r\n")
+    bad = "<db>\r\n<class>\r<cno>CS&bad;</cno></class></db>"
+    for text in (good, bad):
+        doc_path.write_bytes(text.encode())
+        args = ["map", str(source_path), str(target_path),
+                str(embedding_path), str(doc_path)]
+        surfaces = []
+        for extra in ([], ["--stream"]):
+            code = main(args + extra)
+            captured = capsys.readouterr()
+            surfaces.append(captured.out if code == 0
+                            else captured.err.strip().splitlines()[-1])
+        status, payload = dispatch(state, "POST", "/v1/map",
+                                   json.dumps({"xml": text}).encode())
+        assert status == 200
+        result = payload["result"]
+        if text is good:
+            mapped = compiled.map_text(text)
+            assert "CS\n331" in mapped and "DB\nX" in mapped
+            assert surfaces == [mapped + "\n"] * 2
+            assert result["output"] == mapped
+        else:
+            message = "unknown entity &bad; at line 3, column 13"
+            with pytest.raises(XMLParseError) as err:
+                compiled.map_text(text)
+            assert str(err.value) == message
+            assert all(line.endswith(message) for line in surfaces)
+            assert result["error"] == f"XMLParseError: {message}"
 
 
 def test_cli_translate(files, capsys):

@@ -1,12 +1,18 @@
 """Unit tests: the XML parser and serializer round-trip."""
 
+import random
+
 import pytest
 
+from repro.dtd.generate import InstanceGenerator
+from repro.workloads.library import school_example
+from repro.xtree import parser
 from repro.xtree.nodes import tree_equal
 from repro.xtree.parser import (
     XMLParseError,
     build_tree,
     iter_events,
+    iter_events_path,
     parse_xml,
 )
 from repro.xtree.serialize import to_string
@@ -203,18 +209,147 @@ HOSTILE_SNIPPETS = [
     ('<a x="1"/>',
      "attribute 'x' not supported by the paper's data model "
      "(pass allow_attributes=True to ignore attributes) at line 1, column 9"),
+    # Non-ASCII names: the first character must be alphabetic, and
+    # non-decimal numerics (which ``[^\W\d]`` would admit) are not.
+    ("<²a/>", "expected a name at line 1, column 2"),
+    ("<Ⅻ/>", "expected a name at line 1, column 2"),
+    ("<a><²b/></a>", "expected a name at line 1, column 5"),
+    ("<a><!-- x</a>",
+     "unterminated construct, missing '-->' at line 1, column 8"),
+    ("<a><![CDATA[x</a>",
+     "unterminated construct, missing ']]>' at line 1, column 13"),
+    ("<a><?pi x</a>",
+     "unterminated construct, missing '?>' at line 1, column 6"),
+    ("<!-- x", "unterminated construct, missing '-->' at line 1, column 5"),
+    ("<a>\n  <!-- x\n</a>",
+     "unterminated construct, missing '-->' at line 2, column 7"),
+    # Larger than one read of a file: the error's line and column are
+    # counted across the dropped prefix of the window.
+    ("<r>\n" + "<a>x</a>\n" * 8000 + "<b>&bad;</b></r>",
+     "unknown entity &bad; at line 8002, column 9"),
+    ("<r>\n" + "<a>x</a>\n" * 8000 + "</r>\n<x/>",
+     "trailing content after the root element at line 8003, column 1"),
 ]
 
 
-@pytest.mark.parametrize("snippet,message", HOSTILE_SNIPPETS,
-                         ids=[snippet for snippet, _ in HOSTILE_SNIPPETS])
-def test_hostile_corpus_raises_only_xmlparseerror(snippet, message):
+def _file_events(tmp_path, text, **options):
+    path = tmp_path / "doc.xml"
+    path.write_text(text)
+    return iter_events_path(path, **options)
+
+
+def _hostile_id(snippet):
+    return snippet if len(snippet) < 80 else f"{len(snippet)}-char document"
+
+
+@pytest.mark.parametrize(
+    "snippet,message,source",
+    [pytest.param(snippet, message, "string", id=_hostile_id(snippet))
+     for snippet, message in HOSTILE_SNIPPETS]
+    + [pytest.param(snippet, message, "file",
+                    id="file:" + _hostile_id(snippet))
+       for snippet, message in HOSTILE_SNIPPETS])
+def test_hostile_corpus_raises_only_xmlparseerror(snippet, message, source,
+                                                  tmp_path, monkeypatch):
     """The ingestion contract: any malformed input is XMLParseError —
     a bare ValueError/IndexError from parse_xml is a bug — and its text
-    (message, line, column) is exactly the pinned one."""
+    (message, line, column) is exactly the pinned one, from a string
+    and from a file read one character at a time."""
     with pytest.raises(XMLParseError) as err:
-        parse_xml(snippet)
+        if source == "string":
+            parse_xml(snippet)
+        else:
+            monkeypatch.setattr(parser, "_READ_CHARS", 1)
+            list(_file_events(tmp_path, snippet))
     assert str(err.value) == message
+
+
+def test_non_ascii_names_accepted(tmp_path):
+    source = "<Ω><ÿé>x</ÿé><n:s.é-1/></Ω>"
+    expected = [("start", "Ω"), ("start", "ÿé"), ("text", "x"),
+                ("end", "ÿé"), ("start", "n:s.é-1"), ("end", "n:s.é-1"),
+                ("end", "Ω")]
+    assert list(iter_events(source)) == expected
+    assert list(_file_events(tmp_path, source)) == expected
+    assert parse_xml("<Ω/>").tag == "Ω"
+
+
+def _outcome(events):
+    """(events, error text, error pos) of draining ``events``."""
+    seen = []
+    try:
+        for event in events:
+            seen.append(event)
+    except XMLParseError as err:
+        return seen, str(err), err.pos
+    return seen, None, None
+
+
+def test_line_endings_normalised_on_string_and_file(tmp_path):
+    r"""XML 1.0 §2.11: ``\r\n`` and a lone ``\r`` read as ``\n``
+    from a string exactly as from a (universal-newline) file, so events
+    and error lines and columns agree; ``&#13;`` still gives ``\r``."""
+    path = tmp_path / "doc.xml"
+    outcomes = []
+    for text in ("<db>\r\n<cno>CS\r\n331</cno><t>DB\rX&#13;Y</t></db>",
+                 "<db>\r\n<cno>CS\r\n331</cno>\r<t>DB\rX</x></db>",
+                 "<db>\r\r\n<a>&bad;</a></db>"):
+        path.write_bytes(text.encode())
+        normalised = text.replace("\r\n", "\n").replace("\r", "\n")
+        outcome = _outcome(iter_events(text))
+        assert outcome == _outcome(iter_events(normalised))
+        assert outcome == _outcome(iter_events_path(path))
+        outcomes.append(outcome)
+    assert outcomes[0] == ([
+        ("start", "db"), ("start", "cno"), ("text", "CS\n331"),
+        ("end", "cno"), ("start", "t"), ("text", "DB\nX\rY"), ("end", "t"),
+        ("end", "db")], None, None)
+    assert outcomes[1][1] == ("mismatched end tag </x>, expected </t> "
+                              "at line 5, column 5")
+    assert outcomes[2][1] == "unknown entity &bad; at line 3, column 9"
+
+
+def _mutate(text, rng):
+    chars = list(text)
+    for _ in range(rng.randrange(1, 4)):
+        at = rng.randrange(len(chars) + 1)
+        roll = rng.random()
+        if roll < 0.4 and chars:
+            del chars[min(at, len(chars) - 1)]
+        elif roll < 0.85:
+            chars.insert(at, rng.choice("<>/&;![]-?=\n \"'aΩ²"))
+        else:
+            del chars[at:]
+    return "".join(chars)
+
+
+def test_string_and_file_events_identical_across_read_seams(tmp_path,
+                                                           monkeypatch):
+    """Seeded differential check: on generated and mutated documents,
+    the file scanner at tiny read sizes (every construct straddles a
+    seam) yields the string scanner's events and error text and pos."""
+    rng = random.Random(16)
+    classes = school_example().classes
+    extras = ["<!-- c -->", "<?pi x?>", "<![CDATA[<x>&]]>", "&amp;&#65;",
+              " \n ", '<a x="1"/>', "<!DOCTYPE d [<!ELEMENT d (a)>]>"]
+    documents = []
+    for seed in range(40):
+        text = to_string(InstanceGenerator(classes, seed=seed, max_depth=6,
+                                           star_mean=1.5).generate())
+        at = rng.randrange(len(text))
+        text = text[:at] + rng.choice(extras) + text[at:]
+        documents.append(text)
+        documents.append(_mutate(text, rng))
+    path = tmp_path / "doc.xml"
+    for text in documents:
+        path.write_text(text)
+        for options in ({}, {"allow_attributes": True},
+                        {"keep_whitespace": True}):
+            expected = _outcome(iter_events(text, **options))
+            for size in (1, 2, 3, 7, 64):
+                monkeypatch.setattr(parser, "_READ_CHARS", size)
+                assert _outcome(iter_events_path(path, **options)) \
+                    == expected, (text, options, size)
 
 
 def test_node_ids_preorder_and_build_tree_stops_at_element_end():
